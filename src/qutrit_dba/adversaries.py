@@ -31,11 +31,7 @@ from .qutrit_core import (
     PureState,
     RandomSource,
     apply_channel,
-    dephasing_channel,
-    depolarizing_channel,
     fourier_basis,
-    identity_channel,
-    phase_shift_channel,
 )
 from .strategies import (
     AdversaryKind,
@@ -43,6 +39,7 @@ from .strategies import (
     AttackBasis,
     GeneralId,
     LiarPolicy,
+    channel_from_name,
 )
 
 __all__ = [
@@ -507,26 +504,3 @@ def reveal_asymmetry_zscore(report) -> float:
 def asymmetry_detected(report, threshold: float = 5.0) -> bool:
     """Flag a reveal-order asymmetry beyond ``threshold`` standard errors."""
     return abs(reveal_asymmetry_zscore(report)) > threshold
-
-
-# ---------------------------------------------------------------------------
-# channel registry (for name-based selection from the harness)
-# ---------------------------------------------------------------------------
-
-_CHANNEL_BUILDERS = {
-    "identity": lambda **kw: identity_channel(),
-    "dephasing": lambda **kw: dephasing_channel("computational"),
-    "fourier_dephasing": lambda **kw: dephasing_channel("fourier"),
-    "phase_shift": lambda **kw: phase_shift_channel(int(kw.get("number", 1))),
-    "depolarizing": lambda **kw: depolarizing_channel(float(kw.get("strength", 1.0))),
-}
-
-
-def channel_from_name(name: str, **params) -> AttackChannel:
-    """Look up a stock channel by name (for CLI/config selection)."""
-    try:
-        builder = _CHANNEL_BUILDERS[name]
-    except KeyError:
-        known = ", ".join(sorted(_CHANNEL_BUILDERS))
-        raise ValueError(f"unknown channel {name!r}; known: {known}") from None
-    return builder(**params)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import product
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -239,7 +239,14 @@ class DistributionConfig:
 
 
 class AttemptBudgetExceeded(RuntimeError):
-    """Raised when an adversary suppresses valid runs past the attempt budget."""
+    """Raised when an adversary suppresses valid runs past the attempt budget.
+
+    ``attempts`` is the number of attempts made before giving up.
+    """
+
+    def __init__(self, message: str, attempts: int) -> None:
+        super().__init__(message)
+        self.attempts = attempts
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +458,7 @@ def _valid_runs_needed(config: DistributionConfig) -> int:
 
 def run_batch(
     config: DistributionConfig,
-    adversary: Optional[AdversaryStrategy] = None,
+    adversary: Union[AdversaryStrategy, ProtocolHooks, None] = None,
     rng: Optional[RandomSource] = None,
 ) -> List[RunRecord]:
     """Attempt runs until the batch holds enough valid ones for the target.
@@ -460,11 +467,15 @@ def run_batch(
     the binomial cross-check consumption.  An attempt budget of
     _BUDGET_FACTOR times the honest expectation (12 attempts per valid run
     at eta = 1) guards against adversaries that suppress valid runs.
+    ``adversary`` is a strategy, compiled here, or hooks already compiled
+    from one, which the caller can then share with the cross-check.
     """
-    strategy = adversary if adversary is not None else honest()
     if rng is None:
         rng = np.random.default_rng(config.rng_seed)
-    hooks = hooks_for_strategy(strategy, rng)
+    if isinstance(adversary, ProtocolHooks):
+        hooks = adversary
+    else:
+        hooks = hooks_for_strategy(adversary if adversary is not None else honest(), rng)
     eta = config.detector_efficiency
     needed = _valid_runs_needed(config)
     budget = _BUDGET_FACTOR * math.ceil(needed * 12.0 / eta)
@@ -475,7 +486,8 @@ def run_batch(
         if run_id >= budget:
             raise AttemptBudgetExceeded(
                 f"{n_valid} valid runs after {run_id} attempts "
-                f"(needed {needed}, budget {budget})"
+                f"(needed {needed}, budget {budget})",
+                attempts=run_id,
             )
         record = _attempt(hooks, eta, rng, run_id)
         records.append(record)

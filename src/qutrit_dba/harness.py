@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 from typing import Dict, List, Optional, Sequence
 
@@ -26,13 +26,7 @@ from .distribution import (
     CheckVerdict,
     DistributionConfig,
 )
-from .strategies import (
-    AdversaryStrategy,
-    GeneralId,
-    honest,
-    strategy_from_name,
-    traitor_a_conflicting,
-)
+from .strategies import ADVERSARIES, PARAMS, AdversaryStrategy, GeneralId, strategy_from_name
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -54,16 +48,14 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 
-class Scenario(Enum):
-    HONEST = "honest"
-    INTERCEPT_RESEND = "intercept_resend"
-    KRAUS_ATTACK = "kraus_attack"
-    FALSE_REPORT = "false_report"
-    REVEAL_LIAR = "reveal_liar"
-    TRAITOR_A = "traitor_a"
-    TRAITOR_B = "traitor_b"
-    TRAITOR_C = "traitor_c"
-    CUSTOM = "custom"
+# one stock scenario per adversary kind, plus CUSTOM for a kind with
+# parameters or a ready-made strategy
+Scenario = Enum(
+    "Scenario",
+    [(entry.scenario.upper(), entry.scenario) for entry in ADVERSARIES] + [("CUSTOM", "custom")],
+    module=__name__,
+)
+_STOCK = {entry.scenario: entry for entry in ADVERSARIES}
 
 
 @dataclass(frozen=True)
@@ -84,27 +76,37 @@ class SimulationSpec:
             raise ValueError(f"trials must be >= 1, got {self.trials!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed!r}")
+        try:
+            json.dumps(self.adversary_params)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(
+                f"adversary_params must hold only JSON values ({exc}); give a custom "
+                "adversary as {'kind': <strategy kind>, **its parameters}"
+            ) from None
 
 
 @dataclass(frozen=True)
 class TrialOutcome:
-    """Result of one protocol execution, JSON-ready."""
+    """Result of one protocol execution, JSON-ready.
+
+    A field a trial never reached keeps its default.
+    """
 
     trial_id: int
-    attempts: int
-    valid_runs: int
-    combo_counts: Dict[str, int]
-    checked: int
-    inconsistencies: int
-    traitor_last: int
-    tampering_detected: bool
-    aborted: bool
-    list_length: int
-    decisions: Optional[Dict[str, Dict]]
-    cases: Optional[Dict[str, str]]
-    broadcast: bool
-    validity: bool
-    dba_success: bool
+    attempts: int = 0
+    valid_runs: int = 0
+    combo_counts: Dict[str, int] = field(default_factory=dict)
+    checked: int = 0
+    inconsistencies: int = 0
+    traitor_last: int = 0
+    tampering_detected: bool = False
+    aborted: bool = False
+    list_length: int = 0
+    decisions: Optional[Dict[str, Dict]] = None
+    cases: Optional[Dict[str, str]] = None
+    broadcast: bool = False
+    validity: bool = False
+    dba_success: bool = False
     failure: Optional[str] = None
 
 
@@ -125,73 +127,25 @@ def build_strategy(scenario: Scenario, params: Optional[Dict] = None) -> Adversa
     """Turn a scenario name plus parameter map into an adversary strategy.
 
     ``plan`` (the commander's plan) is consumed by the trial runner, not
-    here.  The custom scenario accepts either a ready-made strategy under
-    ``strategy`` or a ``kind`` name with keyword parameters.
+    here, and ``adaptive_basis`` applies to any kind.  A stock scenario
+    reads the parameters its kind takes and ignores the rest.  The custom
+    scenario accepts either a ready-made strategy under ``strategy`` or a
+    ``kind`` name with parameters that kind takes.
     """
+    scenario = Scenario(scenario)  # a member or its value; anything else is a ValueError
     p = dict(params or {})
     p.pop("plan", None)
     adaptive = bool(p.pop("adaptive_basis", False))
 
-    if scenario is Scenario.HONEST:
-        return honest()
-    if scenario is Scenario.INTERCEPT_RESEND:
-        strategy = strategy_from_name(
-            "intercept_resend",
-            basis=p.get("basis", "computational"),
-            location=int(p.get("location", 1)),
-            attack_rate=float(p.get("attack_rate", 1.0)),
-            **({"traitor": p["traitor"]} if "traitor" in p else {}),
-        )
-    elif scenario is Scenario.KRAUS_ATTACK:
-        channel_params = {k: p[k] for k in ("number", "strength") if k in p}
-        channel = adversaries.channel_from_name(
-            p.get("channel", "dephasing"), **channel_params
-        )
-        strategy = strategy_from_name(
-            "kraus_attack",
-            channel=channel,
-            location=int(p.get("location", 1)),
-            attack_rate=float(p.get("attack_rate", 1.0)),
-            **({"traitor": p["traitor"]} if "traitor" in p else {}),
-        )
-    elif scenario is Scenario.FALSE_REPORT:
-        strategy = strategy_from_name(
-            "false_detection_report", rate=float(p.get("rate", 1.0))
-        )
-    elif scenario is Scenario.REVEAL_LIAR:
-        kwargs = {"policy": p.get("policy", "always_consistent")}
-        if kwargs["policy"] == "calibrated":
-            kwargs["error_rate"] = float(p.get("error_rate", 0.0))
-        if "traitor" in p:
-            kwargs["traitor"] = p["traitor"]
-        if "basis" in p:
-            kwargs["basis"] = p["basis"]
-        strategy = strategy_from_name("reveal_liar", **kwargs)
-    elif scenario is Scenario.TRAITOR_A:
-        strategy = traitor_a_conflicting()
-    elif scenario is Scenario.TRAITOR_B:
-        target = p.get("target_plan")
-        strategy = strategy_from_name(
-            "traitor_b_forge_forward",
-            target_plan=None if target is None else int(target),
-        )
-    elif scenario is Scenario.TRAITOR_C:
-        target = p.get("target_plan")
-        strategy = strategy_from_name(
-            "traitor_c_forge_forward",
-            target_plan=None if target is None else int(target),
-        )
-    elif scenario is Scenario.CUSTOM:
-        if isinstance(p.get("strategy"), AdversaryStrategy):
-            strategy = p["strategy"]
-        else:
-            try:
-                kind = p.pop("kind")
-            except KeyError:
-                raise ValueError("custom scenario needs 'kind' or 'strategy'") from None
-            strategy = strategy_from_name(kind, **p)
-    else:  # pragma: no cover - enum is closed
-        raise ValueError(f"unhandled scenario {scenario!r}")
+    if scenario is not Scenario.CUSTOM:
+        entry = _STOCK[scenario.value]
+        strategy = entry.build({k: v for k, v in p.items() if k in entry.params})
+    elif isinstance(p.get("strategy"), AdversaryStrategy):
+        strategy = p["strategy"]
+    elif "kind" in p:
+        strategy = strategy_from_name(p.pop("kind"), **p)
+    else:
+        raise ValueError("custom scenario needs 'kind' or 'strategy'")
     if adaptive:
         strategy = replace(strategy, adaptive_basis=True)
     return strategy
@@ -200,10 +154,6 @@ def build_strategy(scenario: Scenario, params: Optional[Dict] = None) -> Adversa
 # ---------------------------------------------------------------------------
 # trials
 # ---------------------------------------------------------------------------
-
-
-def _abort_decisions() -> Dict[str, Dict]:
-    return {g.value: {"kind": "abort", "plan": None} for g in GeneralId}
 
 
 def run_trial(spec: SimulationSpec, trial_id: int) -> TrialOutcome:
@@ -216,104 +166,61 @@ def run_trial(spec: SimulationSpec, trial_id: int) -> TrialOutcome:
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, trial_id]))
     strategy = build_strategy(spec.scenario, spec.adversary_params)
     plan = Plan(int(spec.adversary_params.get("plan", 0)))
-    counts: Dict[str, int] = {}
+    # one set of hooks: the batch's tap and the cross-check liar share it
+    hooks = adversaries.hooks_for_strategy(strategy, rng)
+    return TrialOutcome(trial_id=trial_id, **_trial_fields(spec, strategy, plan, hooks, rng))
+
+
+def _trial_fields(
+    spec: SimulationSpec,
+    strategy: AdversaryStrategy,
+    plan: Plan,
+    hooks: adversaries.ProtocolHooks,
+    rng: np.random.Generator,
+) -> Dict:
+    # the TrialOutcome fields of one execution, up to the step it ended at
     try:
-        records = distribution.run_batch(spec.distribution, strategy, rng)
+        records = distribution.run_batch(spec.distribution, hooks, rng)
     except AttemptBudgetExceeded as exc:
-        return TrialOutcome(
-            trial_id=trial_id,
-            attempts=0,
-            valid_runs=0,
-            combo_counts={},
-            checked=0,
-            inconsistencies=0,
-            traitor_last=0,
-            tampering_detected=False,
-            aborted=False,
-            list_length=0,
-            decisions=None,
-            cases=None,
-            broadcast=False,
-            validity=False,
-            dba_success=False,
-            failure=str(exc),
-        )
+        return {"attempts": exc.attempts, "failure": str(exc)}
+    counts: Dict[str, int] = {}
     for r in records:
         if r.valid:
             counts[r.combo()] = counts.get(r.combo(), 0) + 1
-
-    check_hooks = adversaries.hooks_for_strategy(strategy, rng)
-    check = distribution.cross_check(
-        records, spec.distribution, check_hooks.number_reveal, rng
-    )
+    check = distribution.cross_check(records, spec.distribution, hooks.number_reveal, rng)
+    done = {
+        "attempts": len(records),
+        "valid_runs": sum(counts.values()),
+        "combo_counts": counts,
+        "checked": check.checked,
+        "inconsistencies": check.inconsistencies,
+        "traitor_last": check.traitor_last_count,
+    }
     if check.verdict is CheckVerdict.TAMPERING_DETECTED:
-        return TrialOutcome(
-            trial_id=trial_id,
-            attempts=len(records),
-            valid_runs=sum(counts.values()),
-            combo_counts=counts,
-            checked=check.checked,
-            inconsistencies=check.inconsistencies,
-            traitor_last=check.traitor_last_count,
-            tampering_detected=True,
-            aborted=True,
-            list_length=0,
-            decisions=_abort_decisions(),
-            cases=None,
-            broadcast=True,
-            validity=True,
+        return dict(
+            done, tampering_detected=True, aborted=True, broadcast=True, validity=True,
             dba_success=True,
+            decisions={g.value: {"kind": "abort", "plan": None} for g in GeneralId},
         )
 
+    target = spec.distribution.target_length
     lists = distribution.assemble_lists(records)
-    if lists.length < spec.distribution.target_length:
-        return TrialOutcome(
-            trial_id=trial_id,
-            attempts=len(records),
-            valid_runs=sum(counts.values()),
-            combo_counts=counts,
-            checked=check.checked,
-            inconsistencies=check.inconsistencies,
-            traitor_last=check.traitor_last_count,
-            tampering_detected=False,
-            aborted=False,
-            list_length=lists.length,
-            decisions=None,
-            cases=None,
-            broadcast=False,
-            validity=False,
-            dba_success=False,
-            failure=(
-                f"only {lists.length} surviving positions for target "
-                f"{spec.distribution.target_length}"
-            ),
+    if lists.length < target:
+        return dict(
+            done, list_length=lists.length,
+            failure=f"only {lists.length} surviving positions for target {target}",
         )
-    lists = lists.truncated(spec.distribution.target_length)
+    lists = lists.truncated(target)
     transcript = run_agreement(lists, plan, strategy, rng, cfg=spec.agreement)
     broadcast, validity = evaluate_conditions(transcript)
-    decision_map = {
-        g.value: {
-            "kind": d.kind.value,
-            "plan": None if d.plan is None else int(d.plan),
-        }
-        for g, d in transcript.decisions().items()
-    }
-    return TrialOutcome(
-        trial_id=trial_id,
-        attempts=len(records),
-        valid_runs=sum(counts.values()),
-        combo_counts=counts,
-        checked=check.checked,
-        inconsistencies=check.inconsistencies,
-        traitor_last=check.traitor_last_count,
-        tampering_detected=False,
-        aborted=False,
+    return dict(
+        done,
         list_length=lists.length,
-        decisions=decision_map,
-        cases={
-            "B": transcript.lieutenant_b.case.value,
-            "C": transcript.lieutenant_c.case.value,
+        decisions={
+            g.value: {"kind": d.kind.value, "plan": None if d.plan is None else int(d.plan)}
+            for g, d in transcript.decisions().items()
         },
+        cases={"B": transcript.lieutenant_b.case.value, "C": transcript.lieutenant_c.case.value},
         broadcast=broadcast,
         validity=validity,
         dba_success=broadcast and validity,
@@ -430,27 +337,6 @@ def _spec_json(spec: SimulationSpec) -> Dict:
     }
 
 
-def _trial_json(t: TrialOutcome) -> Dict:
-    return {
-        "trial_id": t.trial_id,
-        "attempts": t.attempts,
-        "valid_runs": t.valid_runs,
-        "combo_counts": t.combo_counts,
-        "checked": t.checked,
-        "inconsistencies": t.inconsistencies,
-        "traitor_last": t.traitor_last,
-        "tampering_detected": t.tampering_detected,
-        "aborted": t.aborted,
-        "list_length": t.list_length,
-        "decisions": t.decisions,
-        "cases": t.cases,
-        "broadcast": t.broadcast,
-        "validity": t.validity,
-        "dba_success": t.dba_success,
-        "failure": t.failure,
-    }
-
-
 def emit_report(
     report: ScenarioReport, format: str = "summary", include_timing: bool = False
 ) -> str:
@@ -464,7 +350,7 @@ def emit_report(
         payload = {
             "schema_version": SCHEMA_VERSION,
             "spec": _spec_json(report.spec),
-            "trials": [_trial_json(t) for t in report.trials],
+            "trials": [asdict(t) for t in report.trials],
             "aggregates": report.aggregates,
         }
         if include_timing:
@@ -578,43 +464,22 @@ def _build_parser() -> _Parser:
         "--fallback-plan", type=int, choices=(0, 1), default=1,
         help="pre-agreed plan when the commander is caught conflicting",
     )
-    # adversary parameters (only meaningful for matching scenarios)
+    # adversary parameters: a stock scenario reads the ones its kind takes
     parser.add_argument("--plan", type=int, choices=(0, 1), help="commander's plan")
-    parser.add_argument("--basis", choices=("computational", "fourier"))
-    parser.add_argument("--location", type=int, choices=(1, 2))
-    parser.add_argument(
-        "--channel",
-        choices=("identity", "dephasing", "fourier_dephasing", "phase_shift", "depolarizing"),
-    )
-    parser.add_argument("--number", type=int, help="phase-shift channel exponent")
-    parser.add_argument("--strength", type=float, help="depolarizing strength")
-    parser.add_argument("--rate", type=float, help="false-report rate")
-    parser.add_argument("--attack-rate", type=float, help="per-run attack participation")
-    parser.add_argument("--policy", choices=("always_consistent", "calibrated"))
-    parser.add_argument("--error-rate", type=float, help="calibrated liar error rate")
-    parser.add_argument("--target-plan", type=int, choices=(0, 1))
-    parser.add_argument("--traitor", choices=("a", "b", "c", "A", "B", "C"))
+    for name, param in PARAMS.items():
+        parser.add_argument(
+            "--" + name.replace("_", "-"),
+            # numbers stay numbers, everything else stays as written
+            type=param.parse if param.parse in (int, float) else None,
+            choices=param.choices or None,
+            help=param.help,
+        )
     parser.add_argument("--adaptive-basis", action="store_true", default=None)
     parser.add_argument("--kind", help="strategy kind for the custom scenario")
     return parser
 
 
-_ADVERSARY_KEYS = (
-    "plan",
-    "basis",
-    "location",
-    "channel",
-    "number",
-    "strength",
-    "rate",
-    "attack_rate",
-    "policy",
-    "error_rate",
-    "target_plan",
-    "traitor",
-    "adaptive_basis",
-    "kind",
-)
+_ADVERSARY_KEYS = ("plan", *PARAMS, "adaptive_basis", "kind")
 
 
 def _spec_from_namespace(ns: argparse.Namespace) -> SimulationSpec:

@@ -10,9 +10,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from functools import cached_property
+from typing import Callable, Dict, FrozenSet, Optional, Tuple
 
-from .qutrit_core import AttackChannel
+from .qutrit_core import (
+    AttackChannel,
+    dephasing_channel,
+    depolarizing_channel,
+    identity_channel,
+    phase_shift_channel,
+)
 
 __all__ = [
     "GeneralId",
@@ -28,6 +35,11 @@ __all__ = [
     "traitor_a_conflicting",
     "traitor_b_forge_forward",
     "traitor_c_forge_forward",
+    "Param",
+    "PARAMS",
+    "AdversaryEntry",
+    "ADVERSARIES",
+    "channel_from_name",
     "strategy_from_name",
 ]
 
@@ -92,8 +104,6 @@ _REACHABLE_HOPS = {
     GeneralId.C: (2,),
 }
 
-_QUANTUM_KINDS = (AdversaryKind.INTERCEPT_RESEND, AdversaryKind.KRAUS_ATTACK)
-
 
 @dataclass(frozen=True)
 class AdversaryStrategy:
@@ -120,74 +130,27 @@ class AdversaryStrategy:
     def __post_init__(self) -> None:
         if not 0.0 <= self.attack_rate <= 1.0:
             raise ValueError(f"attack_rate must be in [0, 1], got {self.attack_rate!r}")
-        kind = self.kind
-        if kind is AdversaryKind.NONE:
-            self._forbid("traitor", "basis", "location", "channel", "report_rate",
-                         "policy", "target_plan")
-        elif kind in _QUANTUM_KINDS:
-            if self.traitor is None or self.location is None:
-                raise ValueError(f"{kind.value} needs a traitor and a hop location")
-            if self.location not in (1, 2):
-                raise ValueError(f"hop location must be 1 or 2, got {self.location!r}")
-            if self.location not in _REACHABLE_HOPS[self.traitor]:
-                raise ValueError(
-                    f"general {self.traitor.value} cannot touch hop {self.location}"
-                )
-            if kind is AdversaryKind.INTERCEPT_RESEND:
-                if self.basis is None:
-                    raise ValueError("intercept_resend needs a measurement basis")
-                self._forbid("channel", "report_rate", "policy", "target_plan")
-            else:
-                if self.channel is None:
-                    raise ValueError("kraus_attack needs an AttackChannel")
-                self._forbid("basis", "report_rate", "policy", "target_plan")
-        elif kind is AdversaryKind.FALSE_DETECTION_REPORT:
-            if self.traitor is not GeneralId.C:
-                raise ValueError("only C announces detections, traitor must be C")
-            if self.report_rate is None or not 0.0 <= self.report_rate <= 1.0:
-                raise ValueError(f"report_rate must be in [0, 1], got {self.report_rate!r}")
-            self._forbid("basis", "location", "channel", "policy", "target_plan")
-        elif kind is AdversaryKind.REVEAL_LIAR:
-            if self.traitor is None:
-                raise ValueError("reveal_liar needs a traitor")
-            if self.policy is None:
-                raise ValueError("reveal_liar needs a LiarPolicy")
-            # the liar tampers with the qutrit too, otherwise there is
-            # nothing to hide: an underlying intercept-resend is implied
-            if self.basis is None or self.location is None:
-                raise ValueError("reveal_liar needs the underlying attack basis/location")
-            if self.location not in _REACHABLE_HOPS[self.traitor]:
-                raise ValueError(
-                    f"general {self.traitor.value} cannot touch hop {self.location}"
-                )
-            self._forbid("channel", "report_rate", "target_plan")
-        elif kind is AdversaryKind.TRAITOR_A_CONFLICTING:
-            if self.traitor is not GeneralId.A:
-                raise ValueError("traitor_a_conflicting requires traitor A")
-            self._forbid("basis", "location", "channel", "report_rate", "policy",
-                         "target_plan")
-        elif kind is AdversaryKind.TRAITOR_B_FORGE_FORWARD:
-            if self.traitor is not GeneralId.B:
-                raise ValueError("traitor_b_forge_forward requires traitor B")
-            self._forbid("basis", "location", "channel", "report_rate", "policy")
-        elif kind is AdversaryKind.TRAITOR_C_FORGE_FORWARD:
-            if self.traitor is not GeneralId.C:
-                raise ValueError("traitor_c_forge_forward requires traitor C")
-            self._forbid("basis", "location", "channel", "report_rate", "policy")
-        else:  # pragma: no cover - enum is closed
-            raise ValueError(f"unknown adversary kind {kind!r}")
+        entry = _BY_KIND[self.kind.value]
+        for name in (param.field for param in PARAMS.values() if param.field):
+            value = getattr(self, name)
+            if value is not None and name not in entry.fields:
+                raise ValueError(f"{self.kind.value} does not take field {name!r}")
+            # a forger without a target plan forges the opposite of what it got
+            if value is None and name in entry.fields and name != "target_plan":
+                raise ValueError(f"{self.kind.value} needs {name}")
+        if entry.traitor is not None and self.traitor is not entry.traitor:
+            raise ValueError(f"{self.kind.value} requires traitor {entry.traitor.value}")
+        if self.location is not None and self.location not in _REACHABLE_HOPS[self.traitor]:
+            raise ValueError(f"general {self.traitor.value} cannot touch hop {self.location}")
+        if self.report_rate is not None and not 0.0 <= self.report_rate <= 1.0:
+            raise ValueError(f"report_rate must be in [0, 1], got {self.report_rate!r}")
         if self.target_plan is not None and self.target_plan not in (0, 1):
             raise ValueError(f"target_plan must be 0 or 1, got {self.target_plan!r}")
-
-    def _forbid(self, *names: str) -> None:
-        for name in names:
-            if getattr(self, name) is not None:
-                raise ValueError(f"{self.kind.value} does not take field {name!r}")
 
     @property
     def is_quantum(self) -> bool:
         """True when the strategy tampers with the qutrit in flight."""
-        return self.kind in _QUANTUM_KINDS or self.kind is AdversaryKind.REVEAL_LIAR
+        return self.location is not None
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +162,11 @@ def honest() -> AdversaryStrategy:
     return AdversaryStrategy()
 
 
+def _receiver(location: int) -> GeneralId:
+    # a tap's default traitor is the general the tapped hop leads to
+    return GeneralId.B if location == 1 else GeneralId.C
+
+
 def intercept_resend(
     basis: AttackBasis = AttackBasis.COMPUTATIONAL,
     location: int = 1,
@@ -206,14 +174,9 @@ def intercept_resend(
     attack_rate: float = 1.0,
 ) -> AdversaryStrategy:
     """Eavesdropper measures the qutrit on one hop and resends the outcome state."""
-    if traitor is None:
-        traitor = GeneralId.B if location == 1 else GeneralId.C
     return AdversaryStrategy(
-        kind=AdversaryKind.INTERCEPT_RESEND,
-        traitor=traitor,
-        basis=basis,
-        location=location,
-        attack_rate=attack_rate,
+        kind=AdversaryKind.INTERCEPT_RESEND, traitor=traitor or _receiver(location),
+        basis=basis, location=location, attack_rate=attack_rate,
     )
 
 
@@ -224,28 +187,21 @@ def kraus_attack(
     attack_rate: float = 1.0,
 ) -> AdversaryStrategy:
     """Arbitrary channel applied to the qutrit on one hop."""
-    if traitor is None:
-        traitor = GeneralId.B if location == 1 else GeneralId.C
     return AdversaryStrategy(
-        kind=AdversaryKind.KRAUS_ATTACK,
-        traitor=traitor,
-        channel=channel,
-        location=location,
-        attack_rate=attack_rate,
+        kind=AdversaryKind.KRAUS_ATTACK, traitor=traitor or _receiver(location),
+        channel=channel, location=location, attack_rate=attack_rate,
     )
 
 
 def false_detection_report(rate: float = 1.0) -> AdversaryStrategy:
     """C claims detections that did not happen, inflating the valid-run pool."""
     return AdversaryStrategy(
-        kind=AdversaryKind.FALSE_DETECTION_REPORT,
-        traitor=GeneralId.C,
-        report_rate=rate,
+        kind=AdversaryKind.FALSE_DETECTION_REPORT, traitor=GeneralId.C, report_rate=rate
     )
 
 
 def reveal_liar(
-    policy: Optional[LiarPolicy] = None,
+    policy: LiarPolicy = LiarPolicy(),
     traitor: GeneralId = GeneralId.A,
     basis: AttackBasis = AttackBasis.COMPUTATIONAL,
     location: Optional[int] = None,
@@ -255,79 +211,172 @@ def reveal_liar(
     Defaults to traitor A: A's numbers range over all three trits, so A can
     always complete the revealed sum to 0 mod 3 when asked last.
     """
-    if policy is None:
-        policy = LiarPolicy()
     if location is None:
         location = _REACHABLE_HOPS[traitor][0]
     return AdversaryStrategy(
-        kind=AdversaryKind.REVEAL_LIAR,
-        traitor=traitor,
-        policy=policy,
-        basis=basis,
+        kind=AdversaryKind.REVEAL_LIAR, traitor=traitor, policy=policy, basis=basis,
         location=location,
     )
 
 
 def traitor_a_conflicting() -> AdversaryStrategy:
     """Commander sends plan 0 to one lieutenant and plan 1 to the other."""
-    return AdversaryStrategy(
-        kind=AdversaryKind.TRAITOR_A_CONFLICTING, traitor=GeneralId.A
-    )
+    return AdversaryStrategy(kind=AdversaryKind.TRAITOR_A_CONFLICTING, traitor=GeneralId.A)
 
 
 def traitor_b_forge_forward(target_plan: Optional[int] = None) -> AdversaryStrategy:
     """B forwards a forged command message to C instead of the real one."""
     return AdversaryStrategy(
-        kind=AdversaryKind.TRAITOR_B_FORGE_FORWARD,
-        traitor=GeneralId.B,
-        target_plan=target_plan,
+        kind=AdversaryKind.TRAITOR_B_FORGE_FORWARD, traitor=GeneralId.B, target_plan=target_plan
     )
 
 
 def traitor_c_forge_forward(target_plan: Optional[int] = None) -> AdversaryStrategy:
     """C forwards a forged command message to B instead of the real one."""
     return AdversaryStrategy(
-        kind=AdversaryKind.TRAITOR_C_FORGE_FORWARD,
-        traitor=GeneralId.C,
-        target_plan=target_plan,
+        kind=AdversaryKind.TRAITOR_C_FORGE_FORWARD, traitor=GeneralId.C, target_plan=target_plan
     )
 
 
-_FACTORIES = {
-    "none": honest,
-    "intercept_resend": intercept_resend,
-    "kraus_attack": kraus_attack,
-    "false_detection_report": false_detection_report,
-    "reveal_liar": reveal_liar,
-    "traitor_a_conflicting": traitor_a_conflicting,
-    "traitor_b_forge_forward": traitor_b_forge_forward,
-    "traitor_c_forge_forward": traitor_c_forge_forward,
+# ---------------------------------------------------------------------------
+# the adversary table: each kind's scenario name, factory and parameters
+# ---------------------------------------------------------------------------
+
+
+def _lookup(table: Dict, name, what: str):
+    try:
+        return table[name]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown {what} {name!r}; known: {', '.join(sorted(table))}") from None
+
+
+_CHANNELS = {
+    "identity": lambda number, strength: identity_channel(),
+    "dephasing": lambda number, strength: dephasing_channel("computational"),
+    "fourier_dephasing": lambda number, strength: dephasing_channel("fourier"),
+    "phase_shift": lambda number, strength: phase_shift_channel(int(number)),
+    "depolarizing": lambda number, strength: depolarizing_channel(float(strength)),
+}
+
+_POLICIES = {
+    "always_consistent": lambda error_rate: LiarPolicy(),
+    "calibrated": LiarPolicy.calibrated,
 }
 
 
-def strategy_from_name(name: str, **params) -> AdversaryStrategy:
-    """Build a strategy from its kind name and keyword parameters.
+def channel_from_name(name: str, number: int = 1, strength: float = 1.0) -> AttackChannel:
+    """Look up a stock channel by name (for CLI/config selection)."""
+    return _lookup(_CHANNELS, name, "channel")(number, strength)
 
-    String parameters coming from a command line are coerced: ``basis`` and
-    ``traitor`` accept their enum value strings, ``policy`` accepts
-    "always_consistent" or "calibrated" (with ``error_rate``).
+
+def _kraus_from_names(channel="dephasing", number=1, strength=1.0, **kwargs):
+    return kraus_attack(channel_from_name(channel, number, strength), **kwargs)
+
+
+def _liar_from_names(policy="always_consistent", error_rate=0.0, **kwargs):
+    # the error rate belongs to the calibrated policy and is ignored otherwise
+    return reveal_liar(_lookup(_POLICIES, policy, "liar policy")(error_rate), **kwargs)
+
+
+def _general(value) -> GeneralId:
+    return GeneralId(value.upper() if isinstance(value, str) else value)
+
+
+@dataclass(frozen=True)
+class Param:
+    """How a command line or JSON spec writes one strategy parameter.
+
+    ``parse`` turns the written value into the factory argument, and
+    ``choices`` are the values the command line offers.  ``field`` is the
+    AdversaryStrategy field the parameter sets, if it sets one.
     """
-    try:
-        factory = _FACTORIES[name]
-    except KeyError:
-        known = ", ".join(sorted(_FACTORIES))
-        raise ValueError(f"unknown strategy {name!r}; known: {known}") from None
-    kwargs = dict(params)
-    if isinstance(kwargs.get("basis"), str):
-        kwargs["basis"] = AttackBasis(kwargs["basis"])
-    if isinstance(kwargs.get("traitor"), str):
-        kwargs["traitor"] = GeneralId(kwargs["traitor"].upper())
-    if isinstance(kwargs.get("policy"), str):
-        policy_name = kwargs.pop("policy")
-        if policy_name == "always_consistent":
-            kwargs["policy"] = LiarPolicy()
-        elif policy_name == "calibrated":
-            kwargs["policy"] = LiarPolicy.calibrated(float(kwargs.pop("error_rate", 0.0)))
-        else:
-            raise ValueError(f"unknown liar policy {policy_name!r}")
-    return factory(**kwargs)
+
+    parse: Callable
+    choices: Tuple = ()
+    help: Optional[str] = None
+    field: Optional[str] = None
+
+
+PARAMS: Dict[str, Param] = {
+    "traitor": Param(_general, ("a", "b", "c", "A", "B", "C"), field="traitor"),
+    "basis": Param(AttackBasis, tuple(b.value for b in AttackBasis), field="basis"),
+    "location": Param(int, (1, 2), field="location"),
+    "attack_rate": Param(float, help="per-run attack participation"),
+    "channel": Param(str, tuple(_CHANNELS), field="channel"),
+    "number": Param(int, help="phase-shift channel exponent"),
+    "strength": Param(float, help="depolarizing strength"),
+    "rate": Param(float, help="false-report rate", field="report_rate"),
+    "policy": Param(str, tuple(_POLICIES), field="policy"),
+    "error_rate": Param(float, help="calibrated liar error rate"),
+    "target_plan": Param(int, (0, 1), field="target_plan"),
+}
+
+
+@dataclass(frozen=True)
+class AdversaryEntry:
+    """One adversary kind: its stock scenario name, its factory, the PARAMS
+    the factory takes and the general the kind is tied to, if any."""
+
+    kind: AdversaryKind
+    scenario: str
+    factory: Callable[..., AdversaryStrategy]
+    params: Tuple[str, ...] = ()
+    traitor: Optional[GeneralId] = None
+
+    @cached_property
+    def fields(self) -> FrozenSet[str]:
+        """The AdversaryStrategy fields this kind sets."""
+        fields = {PARAMS[name].field for name in self.params} - {None}
+        return frozenset(fields | {"traitor"} if self.traitor else fields)
+
+    def build(self, values: Dict) -> AdversaryStrategy:
+        """Parse written parameter values and call the factory.
+
+        A parameter this kind does not take is a ValueError; a value of
+        None counts as absent.
+        """
+        unknown = sorted(set(values) - set(self.params))
+        if unknown:
+            raise ValueError(f"{self.kind.value} does not take {', '.join(unknown)}")
+        kwargs = {}
+        for name, value in values.items():
+            if value is None:
+                continue
+            try:
+                kwargs[name] = PARAMS[name].parse(value)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"bad {name} {value!r}: {exc}") from None
+        return self.factory(**kwargs)
+
+
+_TAP = ("location", "traitor", "attack_rate")
+
+ADVERSARIES: Tuple[AdversaryEntry, ...] = (
+    AdversaryEntry(AdversaryKind.NONE, "honest", honest),
+    AdversaryEntry(AdversaryKind.INTERCEPT_RESEND, "intercept_resend", intercept_resend,
+                   ("basis", *_TAP)),
+    AdversaryEntry(AdversaryKind.KRAUS_ATTACK, "kraus_attack", _kraus_from_names,
+                   ("channel", "number", "strength", *_TAP)),
+    AdversaryEntry(AdversaryKind.FALSE_DETECTION_REPORT, "false_report",
+                   false_detection_report, ("rate",), GeneralId.C),
+    AdversaryEntry(AdversaryKind.REVEAL_LIAR, "reveal_liar", _liar_from_names,
+                   ("policy", "error_rate", "traitor", "basis", "location")),
+    AdversaryEntry(AdversaryKind.TRAITOR_A_CONFLICTING, "traitor_a", traitor_a_conflicting,
+                   traitor=GeneralId.A),
+    AdversaryEntry(AdversaryKind.TRAITOR_B_FORGE_FORWARD, "traitor_b",
+                   traitor_b_forge_forward, ("target_plan",), GeneralId.B),
+    AdversaryEntry(AdversaryKind.TRAITOR_C_FORGE_FORWARD, "traitor_c",
+                   traitor_c_forge_forward, ("target_plan",), GeneralId.C),
+)
+
+_BY_KIND = {entry.kind.value: entry for entry in ADVERSARIES}
+
+
+def strategy_from_name(name: str, **params) -> AdversaryStrategy:
+    """Build a strategy from its kind name and written parameter values.
+
+    Values are as a command line or JSON spec gives them, for example
+    ``basis="fourier"``, ``traitor="b"`` or ``channel="phase_shift",
+    number=2``.  A parameter the kind does not take is a ValueError.
+    """
+    return _lookup(_BY_KIND, name, "strategy").build(params)

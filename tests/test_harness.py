@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
 
 import pytest
 
+import qutrit_dba.adversaries as adversaries_module
 import qutrit_dba.distribution as distribution_module
+import qutrit_dba.harness as harness_module
 from qutrit_dba.agreement import AgreementConfig, Plan
 from qutrit_dba.distribution import DistributionConfig
 from qutrit_dba.harness import (
@@ -23,7 +27,15 @@ from qutrit_dba.harness import (
     run_scenario,
     run_trial,
 )
-from qutrit_dba.strategies import AdversaryKind, AttackBasis, GeneralId, intercept_resend
+from qutrit_dba.strategies import (
+    ADVERSARIES,
+    PARAMS,
+    AdversaryKind,
+    AttackBasis,
+    GeneralId,
+    intercept_resend,
+    reveal_liar,
+)
 
 SMALL = DistributionConfig(target_length=24, check_fraction=0.3)
 
@@ -86,11 +98,72 @@ def test_build_strategy_custom_paths():
         build_strategy(Scenario.CUSTOM, {})
 
 
+# the same written parameters given to a stock scenario and to the custom
+# scenario under the stock scenario's kind
+_DRIFT_CASES = [
+    ("honest", {}),
+    ("intercept_resend", {}),
+    ("intercept_resend", {"basis": "fourier", "location": 2, "traitor": "c", "attack_rate": 0.5}),
+    ("kraus_attack", {}),
+    ("kraus_attack", {"channel": "phase_shift", "number": 2, "location": 2}),
+    ("kraus_attack", {"channel": "depolarizing", "strength": 0.3, "attack_rate": 0.25}),
+    ("false_report", {}),
+    ("false_report", {"rate": 0.5}),
+    ("reveal_liar", {}),
+    ("reveal_liar", {"policy": "calibrated", "error_rate": 0.2, "traitor": "b", "basis": "fourier"}),
+    ("traitor_a", {}),
+    ("traitor_b", {}),
+    ("traitor_b", {"target_plan": 0}),
+    ("traitor_c", {"target_plan": 1}),
+]
+
+
+def _strategy_fields(strategy):
+    fields = {f.name: getattr(strategy, f.name) for f in dataclasses.fields(strategy)}
+    if fields["channel"] is not None:
+        fields["channel"] = fields["channel"].name
+    return fields
+
+
+@pytest.mark.parametrize("scenario, params", _DRIFT_CASES)
+def test_stock_and_custom_paths_build_the_same_strategy(scenario, params):
+    stock = build_strategy(Scenario(scenario), params)
+    custom = build_strategy(Scenario.CUSTOM, {"kind": stock.kind.value, **params})
+    assert _strategy_fields(custom) == _strategy_fields(stock)
+
+
+def test_drift_cases_and_table_cover_every_kind():
+    kinds = {build_strategy(Scenario(name), {}).kind for name, _ in _DRIFT_CASES}
+    assert kinds == set(AdversaryKind)
+    assert [entry.kind for entry in ADVERSARIES] == list(AdversaryKind)
+
+
+def test_cli_adversary_flags_are_the_table_parameters():
+    taken = {name for entry in ADVERSARIES for name in entry.params}
+    assert taken == set(PARAMS)
+    argv = ["--scenario", "honest", "--plan", "1", "--adaptive-basis", "--kind", "none"]
+    for name, param in PARAMS.items():
+        argv += ["--" + name.replace("_", "-"), str(param.choices[0] if param.choices else 1)]
+    spec = parse_cli(argv)
+    assert set(spec.adversary_params) == taken | {"plan", "kind", "adaptive_basis"}
+    assert set(harness_module._ADVERSARY_KEYS) == set(spec.adversary_params)
+
+
 def test_simulation_spec_validation():
     with pytest.raises(ValueError):
         small_spec("honest", trials=0)
     with pytest.raises(ValueError):
         small_spec("honest", seed=-1)
+
+
+def test_simulation_spec_holds_only_json_values():
+    with pytest.raises(ValueError, match="kind"):
+        SimulationSpec(Scenario.CUSTOM, adversary_params={"strategy": reveal_liar()})
+    spec = small_spec(
+        "custom", trials=2, seed=12, kind="reveal_liar", policy="calibrated", error_rate=0.2
+    )
+    report = run_scenario(spec)
+    assert parse_report(emit_report(report, format="json", include_timing=True)) == report
 
 
 # --- trials ------------------------------------------------------------------------
@@ -129,6 +202,29 @@ def test_attack_trial_aborts_for_everyone():
     for decision in outcome.decisions.values():
         assert decision == {"kind": "abort", "plan": None}
     assert outcome.broadcast and outcome.validity and outcome.dba_success
+
+
+def test_hooks_are_compiled_once_per_trial(monkeypatch):
+    calls = []
+    original = adversaries_module.hooks_for_strategy
+
+    def counting(strategy, rng=None):
+        calls.append(strategy.kind)
+        return original(strategy, rng)
+
+    monkeypatch.setattr(adversaries_module, "hooks_for_strategy", counting)
+    monkeypatch.setattr(distribution_module, "hooks_for_strategy", counting)
+    run_trial(small_spec("reveal_liar", seed=1), 0)
+    assert calls == [AdversaryKind.REVEAL_LIAR]
+
+
+def test_budget_failure_records_the_attempts_made(monkeypatch):
+    monkeypatch.setattr(distribution_module, "_BUDGET_FACTOR", 0.01)
+    trial = run_trial(small_spec("honest"), 0)
+    budget = 0.01 * math.ceil(distribution_module._valid_runs_needed(SMALL) * 12.0)
+    assert trial.attempts == math.ceil(budget) > 0
+    assert f"after {trial.attempts} attempts" in trial.failure
+    assert not trial.dba_success
 
 
 def test_budget_failure_is_recorded_not_raised(monkeypatch):
@@ -257,6 +353,10 @@ def test_parse_cli_omits_unset_adversary_params():
         ["--scenario", "honest", "--check-fraction", "1.5"],
         ["--scenario", "honest", "--unknown-flag", "1"],
         ["--scenario", "custom"],  # custom needs a kind
+        # a custom kind takes only its own parameters
+        ["--scenario", "custom", "--kind", "none", "--rate", "0.5"],
+        ["--scenario", "custom", "--kind", "traitor_b_forge_forward", "--traitor", "b"],
+        ["--scenario", "custom", "--kind", "intercept_resend", "--channel", "dephasing"],
     ],
 )
 def test_parse_cli_usage_errors(argv):
@@ -300,6 +400,14 @@ def test_main_exit_codes(capsys, monkeypatch):
     monkeypatch.setattr(harness_module, "run_scenario", boom)
     assert main(["--scenario", "honest"]) == 2
     assert "forced failure" in capsys.readouterr().err
+
+
+def test_main_custom_kind_takes_channel_by_name(capsys):
+    code = main(
+        ["--scenario", "custom", "--kind", "kraus_attack", "--channel", "dephasing",
+         "--trials", "1", "--length", "16", "--check-fraction", "0.5"]
+    )
+    assert code == 0, capsys.readouterr().err
 
 
 def test_main_json_output_parses(capsys):
