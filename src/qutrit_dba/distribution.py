@@ -14,21 +14,30 @@ numbers are spoken aloud in random order; any sum-rule violation exposes
 tampering.  The survivors become the CorrelatedLists consumed by the
 agreement phase.
 
-Honest runs never build a state vector: because every honest operator is
-diag(1, w^m1, w^m2) with integer exponents, a run reduces to two sums
-mod 3 and a 9-entry probability table (computed at import from the actual
-operators, not hard-coded).  Attack hooks switch the run to explicit
-state objects from the hook's location onward.
+A batch draws the loyal parties' randomness in numpy blocks: one
+``integers`` call for every attempt's three basis coins, A's trit and B's
+and C's bits, and one ``random`` call for every attempt's click and
+measurement uniforms.  Each attempt is then one row of the block, run
+through ``execute_run`` and ``reveal_and_sift``.  An honest run never
+builds a state vector: every honest operator is diag(1, w^m1, w^m2) with
+integer exponents, so a run reduces to two sums mod 3 and a lookup in a
+9-entry cumulative outcome table (computed at import from the actual
+operators, not hard-coded), thresholded with the measurement uniform.
+An engaged attack hook switches the run to explicit state objects from
+the hook's location onward and thresholds their outcome probabilities
+with the same uniform.  Hooks draw only from their own generators.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import product
+from statistics import NormalDist
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -45,7 +54,6 @@ from .qutrit_core import (
     apply_operator_mixed,
     outcome_probabilities,
     prepare_initial,
-    sample_outcome,
 )
 from .strategies import AdversaryStrategy, GeneralId, honest
 
@@ -90,7 +98,7 @@ class PartyChoices:
             raise ValueError(f"encoded number must be 0, 1 or 2, got {self.number!r}")
 
 
-@dataclass
+@dataclass(slots=True)
 class RunRecord:
     """Everything observable about one protocol run.
 
@@ -241,12 +249,14 @@ class DistributionConfig:
 class AttemptBudgetExceeded(RuntimeError):
     """Raised when an adversary suppresses valid runs past the attempt budget.
 
-    ``attempts`` is the number of attempts made before giving up.
+    ``records`` holds the sifted attempts made before giving up, and
+    ``attempts`` their number.
     """
 
-    def __init__(self, message: str, attempts: int) -> None:
+    def __init__(self, message: str, records: List["RunRecord"]) -> None:
         super().__init__(message)
-        self.attempts = attempts
+        self.records = records
+        self.attempts = len(records)
 
 
 # ---------------------------------------------------------------------------
@@ -273,9 +283,27 @@ def _exponent_tables():
 
 _PROB_TABLE, _STATE_TABLE = _exponent_tables()
 
+
+def _cumulative(probs) -> Tuple[float, float]:
+    # the thresholds (p0, p0 + p1): a uniform below the first picks outcome
+    # 0, below the second outcome 1, otherwise outcome 2
+    p0 = float(probs[0])
+    return (p0, p0 + float(probs[1]))
+
+
+# the cumulative outcome table of an honest run, indexed 3 * e1 + e2
+_CUM_TABLE = tuple(_cumulative(_PROB_TABLE[pair]) for pair in product(range(3), range(3)))
+
 # each party's contribution to the exponent pair: basis II adds (1, 1),
 # encoding n adds (n, -n)
 _BASIS_EXPONENT = {BasisChoice.I: 0, BasisChoice.II: 1}
+
+# every draw a run can hold, built once: _CHOICES[basis coin][number] and
+# _OUTCOMES[index]
+_CHOICES = tuple(
+    tuple(PartyChoices(basis, n) for n in range(3)) for basis in (BasisChoice.I, BasisChoice.II)
+)
+_OUTCOMES = tuple(MeasurementOutcome(k) for k in range(3))
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +319,7 @@ def execute_run(
     eta: float = 1.0,
     rng: Optional[RandomSource] = None,
     run_id: int = 0,
+    uniforms: Optional[Sequence[float]] = None,
 ) -> RunRecord:
     """Send one qutrit through A, B and C and measure it.
 
@@ -300,57 +329,75 @@ def execute_run(
             (location 2).
         eta: detector efficiency; with probability 1 - eta the run records
             no click (outcome None) and can never become valid.
-        rng: loyal parties' randomness (required when eta < 1 or for the
-            measurement draw).
+        rng: loyal parties' randomness, needed when ``uniforms`` is not
+            given: it then supplies the click uniform (when eta < 1) and
+            the measurement uniform (when the detector clicked).
         run_id: identifier stamped on the record.
+        uniforms: the attempt's pre-drawn (click, measurement) uniforms in
+            [0, 1), as a batch draws them.
 
-    The honest path tracks phase exponents mod 3; an engaged attack hook
-    promotes the run to explicit state objects from its hop onward.
+    The honest path tracks phase exponents mod 3 and looks the outcome up
+    in a cumulative table; an engaged attack hook promotes the run to
+    explicit state objects from its hop onward.
     """
-    for label, choices in (("B", choices_b), ("C", choices_c)):
-        if choices.number not in (0, 1):
-            raise ValueError(f"general {label} encodes a bit, got {choices.number!r}")
+    if choices_b.number not in (0, 1):
+        raise ValueError(f"general B encodes a bit, got {choices_b.number!r}")
+    if choices_c.number not in (0, 1):
+        raise ValueError(f"general C encodes a bit, got {choices_c.number!r}")
     if not 0.0 < eta <= 1.0:
         raise ValueError(f"eta must be in (0, 1], got {eta!r}")
-    if rng is None:
-        raise ValueError("execute_run needs a RandomSource")
+    if uniforms is None and rng is None:
+        raise ValueError("execute_run needs a RandomSource or pre-drawn uniforms")
 
+    state = None
+    trace = None
+    if attack is not None and attack.engages():
+        state = _attacked_state(attack, (choices_a, choices_b, choices_c))
+        trace = attack.description
+
+    if uniforms is None:
+        clicked = eta >= 1.0 or float(rng.random()) < eta
+        u = float(rng.random()) if clicked else 0.0
+    else:
+        u_click, u = uniforms
+        clicked = eta >= 1.0 or u_click < eta
+    outcome = None
+    if clicked:
+        if state is None:
+            t = (
+                (choices_a.basis is BasisChoice.II)
+                + (choices_b.basis is BasisChoice.II)
+                + (choices_c.basis is BasisChoice.II)
+            )
+            s = choices_a.number + choices_b.number + choices_c.number
+            cum = _CUM_TABLE[3 * ((t + s) % 3) + (t - s) % 3]
+        else:
+            cum = _cumulative(outcome_probabilities(state))
+        outcome = _OUTCOMES[0 if u < cum[0] else 1 if u < cum[1] else 2]
+    return RunRecord(run_id, choices_a, choices_b, choices_c, outcome, trace)
+
+
+def _attacked_state(attack, parties: Sequence[PartyChoices]):
+    # the honest exponents up to the hook's hop, then the hook's output
+    # carried through the later parties' operators as a state object
     e1 = 0
     e2 = 0
     state = None
-    trace = None
-    for choices, hop in ((choices_a, 1), (choices_b, 2), (choices_c, None)):
+    for hop, choices in enumerate(parties, start=1):
         t = _BASIS_EXPONENT[choices.basis]
         n = choices.number
         if state is None:
             e1 = (e1 + t + n) % 3
             e2 = (e2 + t - n) % 3
+            if hop == attack.location:
+                state = attack(_STATE_TABLE[(e1, e2)])
         else:
             op = PhaseOperator(TAU * (t + n) / 3.0, TAU * (t - n) / 3.0)
             if isinstance(state, PureState):
                 state = apply_operator(op, state)
             else:
                 state = apply_operator_mixed(op, state)
-        if hop is not None and attack is not None and attack.location == hop:
-            if attack.engages():
-                if state is None:
-                    state = _STATE_TABLE[(e1, e2)]
-                state = attack(state)
-                trace = attack.description
-
-    clicked = eta >= 1.0 or float(rng.random()) < eta
-    outcome = None
-    if clicked:
-        probs = _PROB_TABLE[(e1, e2)] if state is None else outcome_probabilities(state)
-        outcome = sample_outcome(probs, rng)
-    return RunRecord(
-        run_id=run_id,
-        choices_a=choices_a,
-        choices_b=choices_b,
-        choices_c=choices_c,
-        outcome=outcome,
-        attack_trace=trace,
-    )
+    return state
 
 
 _ANNOUNCE_ORDER = (GeneralId.C, GeneralId.B, GeneralId.A)
@@ -379,6 +426,12 @@ def reveal_and_sift(
         record.valid = False
         return record
 
+    if adversary is None:
+        a, b, c = record.choices_a.basis, record.choices_b.basis, record.choices_c.basis
+        record.bases_announced = (c, b, a)
+        record.valid = a is b is c
+        return record
+
     true_bases = {
         GeneralId.A: record.choices_a.basis,
         GeneralId.B: record.choices_b.basis,
@@ -387,7 +440,7 @@ def reveal_and_sift(
     heard: Dict[GeneralId, BasisChoice] = {}
     announced = []
     for general in _ANNOUNCE_ORDER:
-        if adversary is not None and adversary.traitor is general:
+        if adversary.traitor is general:
             basis = adversary(dict(heard), record)
         else:
             basis = true_bases[general]
@@ -402,31 +455,44 @@ def reveal_and_sift(
 # batches
 # ---------------------------------------------------------------------------
 
-
-def _draw_choices(rng: RandomSource) -> Tuple[PartyChoices, PartyChoices, PartyChoices]:
-    # bases are fair coins; numbers uniform over each party's alphabet
-    basis_bits = rng.integers(0, 2, size=3)
-    a = PartyChoices(
-        basis=BasisChoice.II if basis_bits[0] else BasisChoice.I,
-        number=int(rng.integers(0, 3)),
-    )
-    b = PartyChoices(
-        basis=BasisChoice.II if basis_bits[1] else BasisChoice.I,
-        number=int(rng.integers(0, 2)),
-    )
-    c = PartyChoices(
-        basis=BasisChoice.II if basis_bits[2] else BasisChoice.I,
-        number=int(rng.integers(0, 2)),
-    )
-    return a, b, c
+# exclusive upper bounds of the six loyal draws of one attempt: the basis
+# coins of A, B and C, A's trit, and B's and C's bits
+_DRAW_HIGH = (2, 2, 2, 3, 2, 2)
 
 
-def _attempt(hooks: ProtocolHooks, eta: float, rng: RandomSource, run_id: int) -> RunRecord:
-    a, b, c = _draw_choices(rng)
-    record = execute_run(a, b, c, attack=hooks.attack, eta=eta, rng=rng, run_id=run_id)
-    return reveal_and_sift(
-        record, adversary=hooks.basis_announcer, claim_policy=hooks.claim_policy
-    )
+def _run_block(
+    hooks: ProtocolHooks,
+    eta: float,
+    rng: RandomSource,
+    size: int,
+    records: List[RunRecord],
+    stop_after: int = 0,
+) -> int:
+    """Draw one block of ``size`` attempts and run it row by row.
+
+    Each sifted attempt is appended to ``records``.  With ``stop_after``
+    set, the block ends early on its ``stop_after``-th valid run and the
+    rest of its rows go unused.  Returns the number of valid runs added.
+    """
+    attack, announcer, policy = hooks.attack, hooks.basis_announcer, hooks.claim_policy
+    rows = rng.integers(0, _DRAW_HIGH, size=(size, 6)).tolist()
+    uniforms = rng.random((size, 2)).tolist()
+    run_id = len(records)
+    n_valid = 0
+    for (ta, tb, tc, na, nb, nc), u in zip(rows, uniforms):
+        # execute_run and reveal_and_sift are looked up per call, so a
+        # wrapper installed on this module sees every attempt
+        record = execute_run(
+            _CHOICES[ta][na], _CHOICES[tb][nb], _CHOICES[tc][nc], attack, eta, None, run_id, u
+        )
+        record = reveal_and_sift(record, announcer, policy)
+        records.append(record)
+        run_id += 1
+        if record.valid:
+            n_valid += 1
+            if n_valid == stop_after:
+                break
+    return n_valid
 
 
 def run_attempts(
@@ -440,20 +506,69 @@ def run_attempts(
     if rng is None:
         rng = np.random.default_rng()
     hooks = hooks_for_strategy(strategy, rng)
-    return [_attempt(hooks, eta, rng, i) for i in range(n_attempts)]
+    records: List[RunRecord] = []
+    _run_block(hooks, eta, rng, n_attempts, records)
+    return records
 
 
 # attempts allowed per needed valid run, relative to the honest expectation
 # of 12 attempts per valid run at unit efficiency
 _BUDGET_FACTOR = 100
 
+# a block holds the expected attempts for the valid runs still needed, plus
+# this share, so that one block usually finishes an honest batch
+_BLOCK_SLACK = 0.1
+
+# probability that a batch ends with fewer than target_length valid runs
+# left over after the cross-check
+_SHORTFALL_ALPHA = 1e-6
+
+
+def _shortfall(n: int, target: int, keep: float) -> float:
+    """P(Binomial(n, keep) < target), summed in log space from k = target - 1 down."""
+    if n < target:
+        return 1.0
+    lose = 1.0 - keep
+    k = target - 1
+    term = math.exp(
+        math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+        + k * math.log(keep) + (n - k) * math.log(lose)
+    )
+    total = term
+    mode = (n + 1) * keep
+    while k > 0:
+        # pmf(k - 1) / pmf(k) = k / (n - k + 1) * lose / keep
+        term *= k / (n - k + 1) * lose / keep
+        k -= 1
+        total += term
+        if k < mode and term <= total * 1e-17:
+            break
+    return total
+
+
+@functools.lru_cache(maxsize=64)
+def _runs_for(target: int, check_fraction: float) -> int:
+    # smallest n with P(Binomial(n, 1 - f) < target) <= alpha; the search
+    # starts at the normal approximation and steps to the exact answer
+    keep = 1.0 - check_fraction
+    z = NormalDist().inv_cdf(1.0 - _SHORTFALL_ALPHA)
+    root = (z * math.sqrt(keep * check_fraction)
+            + math.sqrt(z * z * keep * check_fraction + 4.0 * keep * (target - 0.5))) / (2.0 * keep)
+    n = math.ceil(root * root)
+    if _shortfall(n, target, keep) <= _SHORTFALL_ALPHA:
+        while _shortfall(n - 1, target, keep) <= _SHORTFALL_ALPHA:
+            n -= 1
+    else:
+        n += 1
+        while _shortfall(n, target, keep) > _SHORTFALL_ALPHA:
+            n += 1
+    return n
+
 
 def _valid_runs_needed(config: DistributionConfig) -> int:
-    # enough that after losing a Binomial(n, f) check sample, at least
-    # target_length survivors remain except with negligible probability
-    base = config.target_length / (1.0 - config.check_fraction)
-    margin = 5.0 * math.sqrt(base * config.check_fraction) + 5.0
-    return math.ceil(base + margin)
+    # the cross-check keeps each valid run with probability 1 - f, so the
+    # survivors of n valid runs are Binomial(n, 1 - f)
+    return _runs_for(config.target_length, config.check_fraction)
 
 
 def run_batch(
@@ -463,8 +578,10 @@ def run_batch(
 ) -> List[RunRecord]:
     """Attempt runs until the batch holds enough valid ones for the target.
 
-    The loop aims for ceil(L / (1 - f)) valid runs plus a safety margin for
-    the binomial cross-check consumption.  An attempt budget of
+    The batch collects the fewest valid runs n for which the cross-check,
+    keeping each with probability 1 - f, leaves fewer than L survivors
+    with probability at most ``_SHORTFALL_ALPHA``.  Attempts come in
+    blocks sized to the valid runs still missing.  An attempt budget of
     _BUDGET_FACTOR times the honest expectation (12 attempts per valid run
     at eta = 1) guards against adversaries that suppress valid runs.
     ``adversary`` is a strategy, compiled here, or hooks already compiled
@@ -478,21 +595,20 @@ def run_batch(
         hooks = hooks_for_strategy(adversary if adversary is not None else honest(), rng)
     eta = config.detector_efficiency
     needed = _valid_runs_needed(config)
-    budget = _BUDGET_FACTOR * math.ceil(needed * 12.0 / eta)
+    budget = math.ceil(_BUDGET_FACTOR * math.ceil(needed * 12.0 / eta))
     records: List[RunRecord] = []
     n_valid = 0
-    run_id = 0
     while n_valid < needed:
-        if run_id >= budget:
+        room = budget - len(records)
+        if room <= 0:
             raise AttemptBudgetExceeded(
-                f"{n_valid} valid runs after {run_id} attempts "
+                f"{n_valid} valid runs after {len(records)} attempts "
                 f"(needed {needed}, budget {budget})",
-                attempts=run_id,
+                records,
             )
-        record = _attempt(hooks, eta, rng, run_id)
-        records.append(record)
-        n_valid += record.valid
-        run_id += 1
+        missing = needed - n_valid
+        size = min(room, math.ceil(missing * 12.0 / eta * (1.0 + _BLOCK_SLACK)))
+        n_valid += _run_block(hooks, eta, rng, size, records, missing)
     return records
 
 

@@ -182,20 +182,14 @@ def _trial_fields(
     try:
         records = distribution.run_batch(spec.distribution, hooks, rng)
     except AttemptBudgetExceeded as exc:
-        return {"attempts": exc.attempts, "failure": str(exc)}
-    counts: Dict[str, int] = {}
-    for r in records:
-        if r.valid:
-            counts[r.combo()] = counts.get(r.combo(), 0) + 1
+        return dict(_batch_fields(exc.records), failure=str(exc))
     check = distribution.cross_check(records, spec.distribution, hooks.number_reveal, rng)
-    done = {
-        "attempts": len(records),
-        "valid_runs": sum(counts.values()),
-        "combo_counts": counts,
-        "checked": check.checked,
-        "inconsistencies": check.inconsistencies,
-        "traitor_last": check.traitor_last_count,
-    }
+    done = dict(
+        _batch_fields(records),
+        checked=check.checked,
+        inconsistencies=check.inconsistencies,
+        traitor_last=check.traitor_last_count,
+    )
     if check.verdict is CheckVerdict.TAMPERING_DETECTED:
         return dict(
             done, tampering_detected=True, aborted=True, broadcast=True, validity=True,
@@ -225,6 +219,15 @@ def _trial_fields(
         validity=validity,
         dba_success=broadcast and validity,
     )
+
+
+def _batch_fields(records: Sequence[distribution.RunRecord]) -> Dict:
+    # the TrialOutcome fields of a batch, finished or cut off by its budget
+    counts: Dict[str, int] = {}
+    for r in records:
+        if r.valid:
+            counts[r.combo()] = counts.get(r.combo(), 0) + 1
+    return {"attempts": len(records), "valid_runs": sum(counts.values()), "combo_counts": counts}
 
 
 def _aggregate(trials: Sequence[TrialOutcome]) -> Dict:

@@ -34,7 +34,17 @@ from qutrit_dba.distribution import (
     sample_correlated_lists,
     theoretical_statistics,
 )
-from qutrit_dba.qutrit_core import BasisChoice
+from qutrit_dba.qutrit_core import (
+    TAU,
+    BasisChoice,
+    PhaseOperator,
+    apply_operator,
+    basis_operator,
+    compose,
+    encode_operator,
+    outcome_probabilities,
+    prepare_initial,
+)
 from qutrit_dba.strategies import (
     false_detection_report,
     intercept_resend,
@@ -374,6 +384,85 @@ def test_traitor_reveal_hook_sees_one_third_last():
     assert report.checked > 500
     fraction_last = report.traitor_last_count / report.checked
     assert abs(fraction_last - 1 / 3) < 0.06
+
+
+# --- the outcome table and the batch size ----------------------------------------
+
+
+def test_cumulative_table_matches_the_state_path():
+    """Every row is (p0, p0 + p1) of the state the exponent pair names."""
+    for e1, e2 in product(range(3), range(3)):
+        state = apply_operator(PhaseOperator(TAU * e1 / 3, TAU * e2 / 3), prepare_initial())
+        probs = outcome_probabilities(state)
+        row = distribution_module._CUM_TABLE[3 * e1 + e2]
+        assert abs(row[0] - probs[0]) < 1e-12
+        assert abs(row[1] - (probs[0] + probs[1])) < 1e-12
+
+
+def test_honest_path_picks_the_outcome_of_the_composed_operators():
+    """All 96 configurations, through execute_run with fixed uniforms."""
+    for bases in product((I, II), repeat=3):
+        for numbers in product(range(3), range(2), range(2)):
+            parties = [PartyChoices(basis=b, number=n) for b, n in zip(bases, numbers)]
+            op = compose(*(f(x) for p in parties
+                           for f, x in ((basis_operator, p.basis), (encode_operator, p.number))))
+            cum = np.cumsum(outcome_probabilities(apply_operator(op, prepare_initial())))
+            for u in (0.05, 0.3, 0.45, 0.6, 0.8, 0.95):
+                if np.min(np.abs(cum[:2] - u)) < 1e-9:
+                    continue
+                record = execute_run(*parties, uniforms=(0.0, u))
+                assert record.outcome.index == int(np.searchsorted(cum[:2], u, side="right"))
+
+
+@pytest.mark.parametrize("hop", [1, 2])
+def test_engaged_identity_hook_keeps_the_honest_stream(hop):
+    """The state path thresholds the same uniform as the table path."""
+
+    def signature(strategy):
+        records = run_attempts(3000, adversary=strategy, rng=np.random.default_rng(25))
+        return [
+            (r.combo(), None if r.outcome is None else r.outcome.index, r.valid)
+            for r in records
+        ]
+
+    tapped = kraus_attack(channel=channel_from_name("identity"), location=hop)
+    assert signature(tapped) == signature(None)
+
+
+def _shortfall(n, target, keep):
+    # P(Binomial(n, keep) < target), term by term
+    if n < target:
+        return 1.0
+    return sum(
+        math.exp(math.log(math.comb(n, k)) + k * math.log(keep) + (n - k) * math.log(1 - keep))
+        for k in range(target)
+    )
+
+
+@pytest.mark.parametrize("target", [1, 16, 24, 80, 400])
+@pytest.mark.parametrize("fraction", [0.1, 0.2, 0.3, 0.5, 0.8])
+def test_batch_size_meets_the_shortfall_probability(target, fraction):
+    n = distribution_module._valid_runs_needed(DistributionConfig(target, fraction))
+    assert _shortfall(n, target, 1 - fraction) <= 1e-6 < _shortfall(n - 1, target, 1 - fraction)
+
+
+def test_batch_sizes_at_the_acceptance_settings():
+    sizes = {
+        (L, f): distribution_module._valid_runs_needed(DistributionConfig(L, f))
+        for L, f in ((24, 0.5), (16, 0.5), (80, 0.3), (400, 0.2))
+    }
+    assert sizes == {(24, 0.5): 92, (16, 0.5): 70, (80, 0.3): 154, (400, 0.2): 558}
+
+
+def test_budget_failure_carries_the_records(monkeypatch):
+    monkeypatch.setattr(distribution_module, "_BUDGET_FACTOR", 0.05)
+    with pytest.raises(AttemptBudgetExceeded) as caught:
+        run_batch(DistributionConfig(target_length=24), rng=np.random.default_rng(26))
+    records = caught.value.records
+    assert caught.value.attempts == len(records) > 0
+    assert [r.run_id for r in records] == list(range(len(records)))
+    valid = sum(r.valid for r in records)
+    assert f"{valid} valid runs after {len(records)} attempts" in str(caught.value)
 
 
 # --- export ----------------------------------------------------------------------

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import re
 
 import pytest
 
@@ -225,6 +226,38 @@ def test_budget_failure_records_the_attempts_made(monkeypatch):
     assert trial.attempts == math.ceil(budget) > 0
     assert f"after {trial.attempts} attempts" in trial.failure
     assert not trial.dba_success
+
+
+def test_budget_failure_counts_the_valid_runs_made(monkeypatch):
+    monkeypatch.setattr(distribution_module, "_BUDGET_FACTOR", 0.01)
+    report = run_scenario(small_spec("honest", trials=8))
+    for trial in report.trials:
+        made = int(re.match(r"(\d+) valid runs after", trial.failure).group(1))
+        assert trial.valid_runs == made == sum(trial.combo_counts.values())
+    assert report.aggregates["failures"] == 8
+    assert report.aggregates["yield"] > 0.0
+
+
+@pytest.mark.parametrize("scenario", ["honest", "false_report", "intercept_resend"])
+def test_batch_runs_every_attempt_through_execute_and_sift(monkeypatch, scenario):
+    """A wrapper on the two per-attempt functions sees the trial's own counts."""
+    seen = {"attempts": 0, "valid": 0}
+    execute, sift = distribution_module.execute_run, distribution_module.reveal_and_sift
+
+    def counting_execute(*args, **kwargs):
+        seen["attempts"] += 1
+        return execute(*args, **kwargs)
+
+    def counting_sift(*args, **kwargs):
+        record = sift(*args, **kwargs)
+        seen["valid"] += record.valid
+        return record
+
+    monkeypatch.setattr(distribution_module, "execute_run", counting_execute)
+    monkeypatch.setattr(distribution_module, "reveal_and_sift", counting_sift)
+    trial = run_trial(small_spec(scenario), 0)
+    assert seen["attempts"] == trial.attempts > 0
+    assert seen["valid"] == trial.valid_runs > 0
 
 
 def test_budget_failure_is_recorded_not_raised(monkeypatch):
