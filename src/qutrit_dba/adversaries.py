@@ -49,6 +49,9 @@ __all__ = [
     "ProtocolHooks",
     "make_intercept_resend",
     "make_kraus_attack",
+    "channel_output",
+    "intercept_thresholds",
+    "tap_source",
     "false_detection_report",
     "reveal_liar",
     "truthful_reveal",
@@ -85,6 +88,14 @@ class AttackHook:
     rate: float = 1.0
     rng: Optional[RandomSource] = None
     memory: List = field(default_factory=list)
+    # set only by make_kraus_attack and make_intercept_resend: what the hook
+    # does at its hop, as ("kraus", the bytes of its Kraus operators) or
+    # ("intercept", the bytes of the basis kets' amplitudes).  The
+    # distribution layer tabulates a hook's outcomes from this value alone;
+    # a hand-built hook leaves it unset and runs through its transform.
+    tap: Optional[Tuple[str, bytes]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.location not in (1, 2):
@@ -185,25 +196,11 @@ def make_intercept_resend(
     kets = (
         _COMPUTATIONAL_KETS if basis is AttackBasis.COMPUTATIONAL else _FOURIER_KETS
     )
-    bras = np.array([k.amplitudes for k in kets]).conj()
 
     def transform(state):
-        if isinstance(state, PureState):
-            probs = np.abs(bras @ state.amplitudes) ** 2
-        else:
-            probs = np.einsum("ki,ij,kj->k", bras, state.matrix, bras.conj()).real
-        probs = np.clip(probs, 0.0, None)
-        probs /= probs.sum()
+        c0, c1 = intercept_thresholds(kets, state)
         u = hook.rng.random()
-        outcome = 0
-        acc = 0.0
-        for k in range(2):
-            acc += float(probs[k])
-            if u < acc:
-                outcome = k
-                break
-        else:
-            outcome = 2
+        outcome = 0 if u < c0 else 1 if u < c1 else 2
         hook.memory.append(outcome)
         return kets[outcome]
 
@@ -214,7 +211,25 @@ def make_intercept_resend(
         rate=rate,
         rng=rng if rng is not None else np.random.default_rng(),
     )
+    hook.tap = ("intercept", np.array([k.amplitudes for k in kets]).tobytes())
     return hook
+
+
+def intercept_thresholds(kets: Sequence[PureState], state) -> Tuple[float, float]:
+    """Born-rule thresholds (p0, p0 + p1) of measuring ``state`` in a basis.
+
+    A uniform below the first threshold picks outcome 0, below the second
+    outcome 1, otherwise 2.
+    """
+    bras = np.array([k.amplitudes for k in kets]).conj()
+    if isinstance(state, PureState):
+        probs = np.abs(bras @ state.amplitudes) ** 2
+    else:
+        probs = np.einsum("ki,ij,kj->k", bras, state.matrix, bras.conj()).real
+    probs = np.clip(probs, 0.0, None)
+    probs /= probs.sum()
+    p0 = float(probs[0])
+    return (p0, p0 + float(probs[1]))
 
 
 def make_kraus_attack(
@@ -229,18 +244,35 @@ def make_kraus_attack(
     state it produces satisfies the density-matrix invariants.
     """
 
-    def transform(state):
-        # |psi><psi| of a valid pure state is a valid density matrix
-        rho = _trusted_mixed(state.density()) if isinstance(state, PureState) else state
-        return apply_channel(channel, rho)
-
-    return AttackHook(
+    hook = AttackHook(
         location=location,
-        transform=transform,
+        transform=lambda state: channel_output(channel, state),
         description=f"kraus[{channel.name}]@hop{location}",
         rate=rate,
         rng=rng,
     )
+    hook.tap = ("kraus", b"".join(k.tobytes() for k in channel.kraus_operators))
+    return hook
+
+
+def channel_output(channel: AttackChannel, state):
+    """The state a channel hook forwards when ``state`` reaches its hop."""
+    # |psi><psi| of a valid pure state is a valid density matrix
+    rho = _trusted_mixed(state.density()) if isinstance(state, PureState) else state
+    return apply_channel(channel, rho)
+
+
+def tap_source(tap: Tuple[str, bytes]):
+    """The channel, or the tuple of basis kets, that a hook's ``tap`` names.
+
+    Rebuilt from the bytes alone, so equal ``tap`` values name equal
+    attacks whichever hook carried them.
+    """
+    kind, key = tap
+    matrices = np.frombuffer(key, dtype=complex).reshape(-1, 3, 3).copy()
+    if kind == "kraus":
+        return AttackChannel(tuple(matrices))
+    return tuple(PureState(amplitudes) for amplitudes in matrices[0])
 
 
 # ---------------------------------------------------------------------------

@@ -23,9 +23,15 @@ builds a state vector: every honest operator is diag(1, w^m1, w^m2) with
 integer exponents, so a run reduces to two sums mod 3 and a lookup in a
 9-entry cumulative outcome table (computed at import from the actual
 operators, not hard-coded), thresholded with the measurement uniform.
-An engaged attack hook switches the run to explicit state objects from
-the hook's location onward and thresholds their outcome probabilities
-with the same uniform.  Hooks draw only from their own generators.
+A stock attack hook (a Kraus channel or an intercept-resend tap) acts on
+one hop, so from each of the 9 pre-hop states it leads to a finite set of
+outcome distributions.  Those are compiled, once per hop and channel or
+basis, into cumulative outcome tables, indexed by the pre-hop exponent
+pair and the later parties' operators and computed with the same
+``qutrit_core`` calls as the state path; an engaged attempt is then a
+lookup, plus the tap's own measurement uniform for intercept-resend.  A
+hand-built hook has no tables and runs through explicit state objects
+from its hop onward.  Hooks draw only from their own generators.
 """
 
 from __future__ import annotations
@@ -38,13 +44,23 @@ from enum import Enum
 from fractions import Fraction
 from itertools import product
 from statistics import NormalDist
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .adversaries import BasisAnnouncer, ProtocolHooks, RevealHook, hooks_for_strategy
+from .adversaries import (
+    AttackHook,
+    BasisAnnouncer,
+    ProtocolHooks,
+    RevealHook,
+    channel_output,
+    hooks_for_strategy,
+    intercept_thresholds,
+    tap_source,
+)
 from .qutrit_core import (
     TAU,
+    AttackChannel,
     BasisChoice,
     MeasurementOutcome,
     PhaseOperator,
@@ -123,7 +139,14 @@ class RunRecord:
         return (self.choices_a.number + self.choices_b.number + self.choices_c.number) % 3
 
     def combo(self) -> str:
-        return f"{self.choices_a.number}{self.choices_b.number}{self.choices_c.number}"
+        return _COMBO_NAMES[
+            9 * self.choices_a.number + 3 * self.choices_b.number + self.choices_c.number
+        ]
+
+
+# the combo string of every number triple, built once, so that counts keyed
+# by combo share their keys
+_COMBO_NAMES = tuple(f"{a}{b}{c}" for a, b, c in product(range(3), repeat=3))
 
 
 @dataclass(frozen=True)
@@ -307,6 +330,65 @@ _OUTCOMES = tuple(MeasurementOutcome(k) for k in range(3))
 
 
 # ---------------------------------------------------------------------------
+# attack tables
+# ---------------------------------------------------------------------------
+
+# A stock hook acts at one hop.  Before it the run is one of the 9 honest
+# states; after it each later party (B and C encode bits) applies one of 4
+# operators, indexed 2 * basis coin + number.  A table row is the cumulative
+# outcome thresholds for one (pre-hop pair, later operators) combination,
+# computed from the same state objects, in the same order, as the state
+# path, so a lookup picks the outcome that path would pick.
+
+_LATER_OPERATORS = ((0, 0), (0, 1), (1, 0), (1, 1))  # (basis exponent, number)
+
+
+class _TapTables(NamedTuple):
+    # width: later-operator combinations, 16 at hop 1 (B then C), 4 at hop 2
+    # intercept: for intercept-resend, the 9 measurement thresholds per
+    #     pre-hop pair; None for a channel
+    # rows: outcome thresholds at [pre * width + later] for a channel, or at
+    #     [resent ket * width + later] for intercept-resend
+    width: int
+    intercept: Optional[Tuple[Tuple[float, float], ...]]
+    rows: Tuple[Tuple[float, float], ...]
+
+
+def _carry(state, later: Sequence[Tuple[int, int]]):
+    # the later parties' operators applied to a state object, one by one
+    for t, n in later:
+        op = PhaseOperator(TAU * (t + n) / 3.0, TAU * (t - n) / 3.0)
+        if isinstance(state, PureState):
+            state = apply_operator(op, state)
+        else:
+            state = apply_operator_mixed(op, state)
+    return state
+
+
+@functools.lru_cache(maxsize=64)
+def _compile_tap(location: int, tap: Tuple[str, bytes]) -> _TapTables:
+    """The outcome tables of a stock hook at ``location``.
+
+    ``tap`` is the hook's ``tap`` value; the tables depend on nothing else.
+    """
+    laters = list(product(_LATER_OPERATORS, repeat=3 - location))
+
+    def rows(states):
+        return tuple(
+            _cumulative(outcome_probabilities(_carry(state, later)))
+            for state in states
+            for later in laters
+        )
+
+    pre_states = [_STATE_TABLE[pair] for pair in product(range(3), range(3))]
+    source = tap_source(tap)
+    if isinstance(source, AttackChannel):
+        return _TapTables(len(laters), None, rows(channel_output(source, s) for s in pre_states))
+    intercept = tuple(intercept_thresholds(source, s) for s in pre_states)
+    return _TapTables(len(laters), intercept, rows(source))
+
+
+# ---------------------------------------------------------------------------
 # single runs
 # ---------------------------------------------------------------------------
 
@@ -337,8 +419,9 @@ def execute_run(
             [0, 1), as a batch draws them.
 
     The honest path tracks phase exponents mod 3 and looks the outcome up
-    in a cumulative table; an engaged attack hook promotes the run to
-    explicit state objects from its hop onward.
+    in a cumulative table.  An engaged stock hook looks its outcome up in
+    the hook's own tables; a hand-built hook promotes the run to explicit
+    state objects from its hop onward.
     """
     if choices_b.number not in (0, 1):
         raise ValueError(f"general B encodes a bit, got {choices_b.number!r}")
@@ -349,11 +432,16 @@ def execute_run(
     if uniforms is None and rng is None:
         raise ValueError("execute_run needs a RandomSource or pre-drawn uniforms")
 
+    cum = None
     state = None
     trace = None
     if attack is not None and attack.engages():
-        state = _attacked_state(attack, (choices_a, choices_b, choices_c))
         trace = attack.description
+        if attack.tap is not None:
+            tables = _compile_tap(attack.location, attack.tap)
+            cum = _tap_row(tables, attack, choices_a, choices_b, choices_c)
+        else:
+            state = _attacked_state(attack, (choices_a, choices_b, choices_c))
 
     if uniforms is None:
         clicked = eta >= 1.0 or float(rng.random()) < eta
@@ -363,7 +451,9 @@ def execute_run(
         clicked = eta >= 1.0 or u_click < eta
     outcome = None
     if clicked:
-        if state is None:
+        if state is not None:
+            cum = _cumulative(outcome_probabilities(state))
+        elif cum is None:
             t = (
                 (choices_a.basis is BasisChoice.II)
                 + (choices_b.basis is BasisChoice.II)
@@ -371,10 +461,39 @@ def execute_run(
             )
             s = choices_a.number + choices_b.number + choices_c.number
             cum = _CUM_TABLE[3 * ((t + s) % 3) + (t - s) % 3]
-        else:
-            cum = _cumulative(outcome_probabilities(state))
         outcome = _OUTCOMES[0 if u < cum[0] else 1 if u < cum[1] else 2]
     return RunRecord(run_id, choices_a, choices_b, choices_c, outcome, trace)
+
+
+def _tap_row(
+    tables: _TapTables,
+    attack: AttackHook,
+    choices_a: PartyChoices,
+    choices_b: PartyChoices,
+    choices_c: PartyChoices,
+) -> Tuple[float, float]:
+    # the outcome thresholds of an engaged stock hook's run; intercept-resend
+    # first measures with one uniform from the hook's own generator, as its
+    # transform does, and records the resent ket in the hook's memory
+    ta = choices_a.basis is BasisChoice.II
+    tb = choices_b.basis is BasisChoice.II
+    tc = choices_c.basis is BasisChoice.II
+    later = 2 * tc + choices_c.number
+    if attack.location == 1:
+        e = ta + choices_a.number
+        f = ta - choices_a.number
+        later += 4 * (2 * tb + choices_b.number)
+    else:
+        e = ta + tb + choices_a.number + choices_b.number
+        f = ta + tb - choices_a.number - choices_b.number
+    pre = 3 * (e % 3) + f % 3
+    if tables.intercept is None:
+        return tables.rows[pre * tables.width + later]
+    c0, c1 = tables.intercept[pre]
+    u = attack.rng.random()
+    ket = 0 if u < c0 else 1 if u < c1 else 2
+    attack.memory.append(ket)
+    return tables.rows[ket * tables.width + later]
 
 
 def _attacked_state(attack, parties: Sequence[PartyChoices]):
@@ -382,22 +501,13 @@ def _attacked_state(attack, parties: Sequence[PartyChoices]):
     # carried through the later parties' operators as a state object
     e1 = 0
     e2 = 0
-    state = None
-    for hop, choices in enumerate(parties, start=1):
+    for choices in parties[: attack.location]:
         t = _BASIS_EXPONENT[choices.basis]
-        n = choices.number
-        if state is None:
-            e1 = (e1 + t + n) % 3
-            e2 = (e2 + t - n) % 3
-            if hop == attack.location:
-                state = attack(_STATE_TABLE[(e1, e2)])
-        else:
-            op = PhaseOperator(TAU * (t + n) / 3.0, TAU * (t - n) / 3.0)
-            if isinstance(state, PureState):
-                state = apply_operator(op, state)
-            else:
-                state = apply_operator_mixed(op, state)
-    return state
+        e1 = (e1 + t + choices.number) % 3
+        e2 = (e2 + t - choices.number) % 3
+    state = attack(_STATE_TABLE[(e1, e2)])
+    later = [(_BASIS_EXPONENT[c.basis], c.number) for c in parties[attack.location:]]
+    return _carry(state, later)
 
 
 _ANNOUNCE_ORDER = (GeneralId.C, GeneralId.B, GeneralId.A)
@@ -497,15 +607,20 @@ def _run_block(
 
 def run_attempts(
     n_attempts: int,
-    adversary: Optional[AdversaryStrategy] = None,
+    adversary: Union[AdversaryStrategy, ProtocolHooks, None] = None,
     eta: float = 1.0,
     rng: Optional[RandomSource] = None,
 ) -> List[RunRecord]:
-    """Execute a fixed number of attempts (for yield and rate studies)."""
-    strategy = adversary if adversary is not None else honest()
+    """Execute a fixed number of attempts (for yield and rate studies).
+
+    ``adversary`` is a strategy, compiled here, or hooks already compiled.
+    """
     if rng is None:
         rng = np.random.default_rng()
-    hooks = hooks_for_strategy(strategy, rng)
+    if isinstance(adversary, ProtocolHooks):
+        hooks = adversary
+    else:
+        hooks = hooks_for_strategy(adversary if adversary is not None else honest(), rng)
     records: List[RunRecord] = []
     _run_block(hooks, eta, rng, n_attempts, records)
     return records

@@ -85,11 +85,13 @@ class SimulationSpec:
             ) from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrialOutcome:
     """Result of one protocol execution, JSON-ready.
 
-    A field a trial never reached keeps its default.
+    A field a trial never reached keeps its default.  ``decisions`` and
+    ``cases`` are shared values: trials with equal decisions (or cases)
+    hold the same dict, so they must not be mutated.
     """
 
     trial_id: int
@@ -194,7 +196,7 @@ def _trial_fields(
         return dict(
             done, tampering_detected=True, aborted=True, broadcast=True, validity=True,
             dba_success=True,
-            decisions={g.value: {"kind": "abort", "plan": None} for g in GeneralId},
+            decisions=_ABORT_DECISIONS,
         )
 
     target = spec.distribution.target_length
@@ -210,15 +212,29 @@ def _trial_fields(
     return dict(
         done,
         list_length=lists.length,
-        decisions={
+        decisions=_shared({
             g.value: {"kind": d.kind.value, "plan": None if d.plan is None else int(d.plan)}
             for g, d in transcript.decisions().items()
-        },
-        cases={"B": transcript.lieutenant_b.case.value, "C": transcript.lieutenant_c.case.value},
+        }),
+        cases=_shared(
+            {"B": transcript.lieutenant_b.case.value, "C": transcript.lieutenant_c.case.value}
+        ),
         broadcast=broadcast,
         validity=validity,
         dba_success=broadcast and validity,
     )
+
+
+# one dict per distinct decisions or cases value, keyed by its JSON: the
+# values come from a small finite set, and trials that agree share them
+_SHARED: Dict[str, Dict] = {}
+
+
+def _shared(value: Dict) -> Dict:
+    return _SHARED.setdefault(json.dumps(value, sort_keys=True), value)
+
+
+_ABORT_DECISIONS = _shared({g.value: {"kind": "abort", "plan": None} for g in GeneralId})
 
 
 def _batch_fields(records: Sequence[distribution.RunRecord]) -> Dict:
@@ -226,7 +242,9 @@ def _batch_fields(records: Sequence[distribution.RunRecord]) -> Dict:
     counts: Dict[str, int] = {}
     for r in records:
         if r.valid:
-            counts[r.combo()] = counts.get(r.combo(), 0) + 1
+            # combo() returns one shared string per number triple
+            combo = r.combo()
+            counts[combo] = counts.get(combo, 0) + 1
     return {"attempts": len(records), "valid_runs": sum(counts.values()), "combo_counts": counts}
 
 
@@ -544,4 +562,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    # run as a script, this file is a second copy of the module; call the
+    # package's own copy so that only one set of its classes is ever used
+    from qutrit_dba.harness import main as _package_main
+
+    sys.exit(_package_main())

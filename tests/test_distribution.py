@@ -37,7 +37,9 @@ from qutrit_dba.distribution import (
 from qutrit_dba.qutrit_core import (
     TAU,
     BasisChoice,
+    MixedState,
     PhaseOperator,
+    apply_channel,
     apply_operator,
     basis_operator,
     compose,
@@ -52,7 +54,14 @@ from qutrit_dba.strategies import (
     reveal_liar,
     AttackBasis,
 )
-from qutrit_dba.adversaries import channel_from_name, hooks_for_strategy
+from qutrit_dba.adversaries import (
+    AttackHook,
+    ProtocolHooks,
+    channel_from_name,
+    hooks_for_strategy,
+    make_intercept_resend,
+    make_kraus_attack,
+)
 import qutrit_dba.distribution as distribution_module
 
 W = cmath.exp(2j * cmath.pi / 3)
@@ -427,6 +436,184 @@ def test_engaged_identity_hook_keeps_the_honest_stream(hop):
 
     tapped = kraus_attack(channel=channel_from_name("identity"), location=hop)
     assert signature(tapped) == signature(None)
+
+
+# --- the tap tables ---------------------------------------------------------------
+
+# every stock hook shape: each stock channel and both intercept bases
+TAPS = {
+    "identity": ("identity", {}),
+    "dephasing": ("dephasing", {}),
+    "fourier_dephasing": ("fourier_dephasing", {}),
+    "phase_shift_1": ("phase_shift", {"number": 1}),
+    "phase_shift_2": ("phase_shift", {"number": 2}),
+    "depolarizing_0.3": ("depolarizing", {"strength": 0.3}),
+    "depolarizing_1.0": ("depolarizing", {"strength": 1.0}),
+    "intercept_computational": AttackBasis.COMPUTATIONAL,
+    "intercept_fourier": AttackBasis.FOURIER,
+}
+
+# a later party's draws in table order: index 2 * basis coin + bit
+LATER_DRAWS = [PartyChoices(basis=b, number=n) for b in (I, II) for n in (0, 1)]
+
+
+def make_tap(name, hop, rng=None, rate=1.0):
+    spec = TAPS[name]
+    if isinstance(spec, AttackBasis):
+        return make_intercept_resend(spec, hop, rng=rng, rate=rate)
+    channel, params = spec
+    return make_kraus_attack(channel_from_name(channel, **params), hop, rng=rng, rate=rate)
+
+
+def all_draws():
+    # every configuration the three parties can draw
+    for bases in product((I, II), repeat=3):
+        for numbers in product(range(3), range(2), range(2)):
+            yield [PartyChoices(basis=b, number=n) for b, n in zip(bases, numbers)]
+
+
+def tables_of(hook):
+    return distribution_module._compile_tap(hook.location, hook.tap)
+
+
+class FixedUniform:
+    """A generator stand-in whose every uniform is ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+@pytest.mark.parametrize("hop", [1, 2])
+@pytest.mark.parametrize("name", list(TAPS))
+def test_tap_tables_equal_the_state_path(name, hop):
+    """Every row a run can reach equals (==) what the state objects give.
+
+    The state path runs through a hand-built hook over the stock hook's own
+    transform; an intercept tap measures with the same fixed uniform on
+    both paths and must resend the same ket.
+    """
+    hook = make_tap(name, hop, rng=np.random.default_rng(0))
+    tables = tables_of(hook)
+    assert tables.width == (16 if hop == 1 else 4)
+    twin = AttackHook(location=hop, transform=hook.transform)
+    assert twin.tap is None
+    uniforms = (0.05, 0.2, 0.4, 0.6, 0.8, 0.95) if tables.intercept else (None,)
+    for parties in all_draws():
+        for u in uniforms:
+            hook.rng = FixedUniform(u)
+            row = distribution_module._tap_row(tables, hook, *parties)
+            state = distribution_module._attacked_state(twin, parties)
+            if tables.intercept:
+                assert hook.memory[-1] == hook.memory[-2]  # the ket both paths resent
+            assert row == distribution_module._cumulative(outcome_probabilities(state))
+
+
+def _fourier_kets():
+    return [np.array([1, W**k, W ** (2 * k)]) / math.sqrt(3) for k in range(3)]
+
+
+def _cumulative_of(probs):
+    return (probs[0], probs[0] + probs[1])
+
+
+@pytest.mark.parametrize("hop", [1, 2])
+@pytest.mark.parametrize("name", list(TAPS))
+def test_tap_tables_match_an_independent_computation(name, hop):
+    """All 9 pre-hop pairs, to 1e-12, from compose and apply_channel."""
+    hook = make_tap(name, hop, rng=np.random.default_rng(0))
+    tables = tables_of(hook)
+    fourier = _fourier_kets()
+
+    def measured(rho):
+        # Fourier-basis Born rule on a density matrix
+        return [float(np.real(np.conj(f) @ rho @ f)) for f in fourier]
+
+    def later_unitaries():
+        for later in product(LATER_DRAWS, repeat=3 - hop):
+            op = compose(*(f(x) for p in later
+                           for f, x in ((basis_operator, p.basis), (encode_operator, p.number))))
+            yield op.matrix()
+
+    def close(row, probs):
+        expected = _cumulative_of(probs)
+        return abs(row[0] - expected[0]) < 1e-12 and abs(row[1] - expected[1]) < 1e-12
+
+    for e1, e2 in product(range(3), range(3)):
+        pre = 3 * e1 + e2
+        psi = np.array([1, W**e1, W**e2]) / math.sqrt(3)
+        if tables.intercept is None:
+            channel = channel_from_name(TAPS[name][0], **TAPS[name][1])
+            rho = apply_channel(channel, MixedState(np.outer(psi, np.conj(psi)))).matrix
+            for later, u in enumerate(later_unitaries()):
+                row = tables.rows[pre * tables.width + later]
+                assert close(row, measured(u @ rho @ np.conj(u).T))
+        else:
+            basis = np.eye(3) if name == "intercept_computational" else fourier
+            probs = [abs(np.vdot(b, psi)) ** 2 for b in basis]
+            assert close(tables.intercept[pre], probs)
+    if tables.intercept is not None:
+        for k, ket in enumerate(np.eye(3) if name == "intercept_computational" else fourier):
+            for later, u in enumerate(later_unitaries()):
+                resent = u @ ket
+                row = tables.rows[k * tables.width + later]
+                assert close(row, measured(np.outer(resent, np.conj(resent))))
+
+
+@pytest.mark.parametrize("rate", [1.0, 0.4])
+@pytest.mark.parametrize("hop", [1, 2])
+@pytest.mark.parametrize("name", list(TAPS))
+def test_tabled_and_hand_built_hooks_give_the_same_stream(name, hop, rate):
+    """A stock hook's table rows against the same transform run by hand."""
+
+    def stream(tabled):
+        hook = make_tap(name, hop, rng=np.random.default_rng(31), rate=rate)
+        if not tabled:
+            # the transform draws from and records into the stock hook's
+            # generator and memory, so the twin shares both
+            hook = AttackHook(
+                location=hop, transform=hook.transform, description=hook.description,
+                rate=rate, rng=hook.rng, memory=hook.memory,
+            )
+        records = run_attempts(3000, ProtocolHooks(attack=hook), rng=np.random.default_rng(32))
+        assert (hook.tap is not None) is tabled
+        signature = [
+            (r.combo(), None if r.outcome is None else r.outcome.index, r.valid, r.attack_trace)
+            for r in records
+        ]
+        return signature, list(hook.memory)
+
+    tabled, hand_built = stream(True), stream(False)
+    assert tabled == hand_built
+    engaged = sum(trace is not None for *_, trace in tabled[0])
+    assert engaged == 3000 if rate == 1.0 else 0 < engaged < 3000
+    if isinstance(TAPS[name], AttackBasis):
+        assert len(tabled[1]) == engaged  # one intercepted ket per engaged attempt
+
+
+def test_tap_tables_depend_only_on_the_tap_value():
+    """A hook that carries a stock tap over another transform changes no
+    later stock hook's stream, whichever compiles first.
+
+    ``tap`` is not a constructor option, so only a stock constructor sets it.
+    """
+    channel = channel_from_name("dephasing")
+    with pytest.raises(TypeError):
+        AttackHook(location=1, transform=lambda state: state, tap=("kraus", b""))
+
+    def stream(hook):
+        records = run_attempts(500, ProtocolHooks(attack=hook), rng=np.random.default_rng(5))
+        return [(r.combo(), None if r.outcome is None else r.outcome.index) for r in records]
+
+    stock = make_kraus_attack(channel, 1)
+    expected = stream(AttackHook(location=1, transform=stock.transform))
+    impostor = AttackHook(location=1, transform=lambda state: state)
+    impostor.tap = stock.tap
+    distribution_module._compile_tap.cache_clear()
+    stream(impostor)
+    assert stream(make_kraus_attack(channel, 1)) == expected
 
 
 def _shortfall(n, target, keep):

@@ -3,9 +3,15 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -272,6 +278,59 @@ def test_budget_failure_is_recorded_not_raised(monkeypatch):
 # --- aggregation ---------------------------------------------------------------------
 
 
+# (L, f) of every stock scenario in the benchmark's mixed workload, which
+# keeps every trial outcome it runs
+MIX_SETTINGS = {
+    "honest": (24, 0.1),
+    "traitor_a": (24, 0.1),
+    "traitor_b": (80, 0.1),
+    "traitor_c": (80, 0.1),
+    "false_report": (24, 0.5),
+    "intercept_resend": (16, 0.5),
+    "kraus_attack": (16, 0.5),
+    "reveal_liar": (24, 0.5),
+}
+
+
+def test_kept_trial_outcomes_stay_small():
+    """A kept TrialOutcome retains at most 1000 bytes on average.
+
+    Equal decisions and cases are shared, combo keys are shared strings,
+    and the outcome itself has slots.  Measured with tracemalloc over 100
+    trials of each stock scenario, after one trial of each has filled the
+    caches (batch sizes, tap tables, shared dicts).
+    """
+    specs = {
+        name: SimulationSpec(
+            scenario=Scenario(name),
+            distribution=DistributionConfig(target_length=length, check_fraction=fraction),
+            seed=1,
+        )
+        for name, (length, fraction) in MIX_SETTINGS.items()
+    }
+    for spec in specs.values():
+        run_trial(spec, 10_000)
+    for name, spec in specs.items():
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            kept = [run_trial(spec, r) for r in range(100)]
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained / len(kept) <= 1000, (name, retained / len(kept))
+
+
+def test_equal_decisions_are_one_shared_dict():
+    report = run_scenario(small_spec("honest", trials=4))
+    assert all(t.decisions is report.trials[0].decisions for t in report.trials)
+    assert all(t.cases is report.trials[0].cases for t in report.trials)
+    aborted = run_scenario(small_spec("intercept_resend", trials=2)).trials
+    assert aborted[0].decisions is aborted[1].decisions
+
+
 def test_aggregates_are_sums_of_trials():
     report = run_scenario(small_spec("honest", trials=4, seed=7))
     agg = report.aggregates
@@ -452,3 +511,17 @@ def test_main_json_output_parses(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["schema_version"] == 1
     assert payload["aggregates"]["abort_total"] == 1
+
+
+def test_package_runs_as_a_module_once():
+    """``python -m qutrit_dba`` runs the CLI without re-executing a module."""
+    src = str(Path(harness_module.__file__).resolve().parents[1])
+    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    done = subprocess.run(
+        [sys.executable, "-m", "qutrit_dba", "--help"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "RuntimeWarning" not in done.stderr
+    assert "--scenario" in done.stdout
