@@ -17,6 +17,7 @@ reproduced bit for bit.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -303,10 +304,12 @@ def false_detection_report(rate: float, rng: Optional[RandomSource] = None) -> C
     return policy
 
 
-def _likely_sum_mod3(unheard: Sequence[GeneralId]) -> int:
+@functools.lru_cache(maxsize=None)
+def _likely_sum_mod3(unheard: Tuple[GeneralId, ...]) -> int:
     # distribution of the unheard parties' number sum mod 3, using the
     # honest priors (A uniform over trits, B and C uniform over bits);
-    # return the most probable residue, smallest on ties
+    # return the most probable residue, smallest on ties.  Memoised: a
+    # liar has at most three distinct tuples of unheard generals
     dist = {0: 1.0}
     for g in unheard:
         values = (0, 1, 2) if g is GeneralId.A else (0, 1)
@@ -338,7 +341,7 @@ def reveal_liar(
 
     def announce(position: int, revealed: Dict, record) -> int:
         heard = sum(int(v) for v in revealed.values()) % 3
-        unheard = [g for g in others if g not in revealed]
+        unheard = tuple(g for g in others if g not in revealed)
         if not unheard:
             value = (-heard) % 3
             if not policy.always_consistent and policy.error_rate > 0.0:
@@ -426,14 +429,13 @@ def traitor_forge_forward(
     target = Plan(target_plan)
     if target == received:
         raise ValueError("forgery target must differ from the received plan")
-    candidates = [j for j, v in enumerate(own_list) if v == int(target)]
+    candidates = np.flatnonzero(np.asarray(own_list) == int(target)).astype(np.int64, copy=False)
     if len(candidates) < needed_length:
         raise ValueError(
             f"cannot forge {needed_length} positions from {len(candidates)} candidates"
         )
     picked = rng.choice(len(candidates), size=needed_length, replace=False)
-    positions = tuple(sorted(candidates[int(i)] for i in picked))
-    return PositionMessage(plan=target, positions=positions)
+    return PositionMessage._of(target, np.sort(candidates[picked]))
 
 
 def forged_forward(

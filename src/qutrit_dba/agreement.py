@@ -10,6 +10,14 @@ the final decision from a fixed six-row case table plus one catch-all row.
 Decisions are judged by two conditions: broadcast (all loyal generals end
 up with the same decision) and validity (if the commander is loyal, every
 loyal general follows his plan or aborts).
+
+A message holds its positions as one read-only, strictly increasing
+``int64`` array (``PositionMessage.indices``), and the lists arrive as the
+rows of one read-only ``int8`` array (``CorrelatedLists.values``).  So a
+message is built with one ``flatnonzero``, verified with one bound check
+and one fancy-index comparison, and forwarded as the same frozen object.
+``PositionMessage.positions`` still reads as a tuple of plain ints, made
+on demand for callers and export; the phase itself never reads it.
 """
 
 from __future__ import annotations
@@ -19,6 +27,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from typing import Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from .strategies import AdversaryKind, AdversaryStrategy, GeneralId, honest
 
@@ -73,28 +83,87 @@ BOT = Bot()
 MessageContent = Union[Plan, Bot]
 
 
-@dataclass(frozen=True)
+def _integer_array(values, high: int, dtype, what: str) -> np.ndarray:
+    """``values`` as a new read-only 1-D array of ``dtype``, each in [0, high].
+
+    An integer array is range-checked in one pass.  Anything else (Python
+    ints beyond int64, floats, objects) goes through ``int()`` one value at
+    a time, as the tuple form always did.  A value out of range, or one
+    that is no integer, raises ValueError.
+    """
+    arr = np.asarray(values if hasattr(values, "__len__") else list(values))
+    if arr.ndim != 1:
+        raise ValueError(f"{what} must be a flat sequence of integers")
+    if arr.dtype.kind in "biu":
+        if arr.size and (arr.min() < 0 or arr.max() > high):
+            raise ValueError(f"{what} must lie in [0, {high}]")
+    else:
+        try:
+            ints = [int(v) for v in arr.tolist()]
+        except (TypeError, OverflowError) as err:
+            raise ValueError(f"{what} must be integers") from err
+        if any(not 0 <= v <= high for v in ints):
+            raise ValueError(f"{what} must lie in [0, {high}]")
+        arr = ints
+    out = np.array(arr, dtype=dtype)
+    out.flags.writeable = False
+    return out
+
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
 class PositionMessage:
     """A plan plus the positions of the sender's list where it appears.
 
     positions must be strictly increasing and non-negative; range against
-    the list length is the receiver's job.
+    the list length is the receiver's job.  They are stored once, as the
+    read-only ``int64`` array ``indices``; ``positions`` is a tuple view of
+    it.  A message is immutable, and equal messages compare ``==`` as a
+    plain bool.
     """
 
-    plan: Plan
-    positions: Tuple[int, ...]
+    __slots__ = ("plan", "indices")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "plan", Plan(self.plan))
-        positions = tuple(int(j) for j in self.positions)
-        if any(j < 0 for j in positions):
-            raise ValueError("positions must be non-negative")
-        if any(a >= b for a, b in zip(positions, positions[1:])):
+    def __init__(self, plan: Plan, positions: Sequence[int]) -> None:
+        indices = _integer_array(positions, _INT64_MAX, np.int64, "positions")
+        if (indices[1:] <= indices[:-1]).any():
             raise ValueError("positions must be strictly increasing")
-        object.__setattr__(self, "positions", positions)
+        object.__setattr__(self, "plan", Plan(plan))
+        object.__setattr__(self, "indices", indices)
+
+    @classmethod
+    def _of(cls, plan: Plan, indices: np.ndarray) -> "PositionMessage":
+        # trusted: ``indices`` is a fresh, strictly increasing int64 array
+        msg = object.__new__(cls)
+        indices.flags.writeable = False
+        object.__setattr__(msg, "plan", plan)
+        object.__setattr__(msg, "indices", indices)
+        return msg
+
+    @property
+    def positions(self) -> Tuple[int, ...]:
+        return tuple(self.indices.tolist())
 
     def __len__(self) -> int:
-        return len(self.positions)
+        return len(self.indices)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PositionMessage):
+            return NotImplemented
+        return self.plan == other.plan and bool(np.array_equal(self.indices, other.indices))
+
+    def __hash__(self) -> int:
+        return hash((self.plan, self.indices.tobytes()))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("PositionMessage is immutable")
+
+    def __reduce__(self):
+        return PositionMessage, (self.plan, self.indices)
+
+    def __repr__(self) -> str:
+        return f"PositionMessage(plan={self.plan!r}, positions={self.positions!r})"
 
 
 class VerdictReason(Enum):
@@ -213,12 +282,13 @@ def build_position_message(l: Sequence[int], plan: Plan) -> PositionMessage:
     """Step (i): list every position of ``l`` holding ``plan``.
 
     Args:
-        l: the sender's trit list.
+        l: the sender's trit list (a row of ``CorrelatedLists.values``, or
+            any sequence of ints).
         plan: binary plan value announced alongside the positions.
     """
     p = Plan(plan)
-    positions = tuple(j for j, v in enumerate(l) if v == int(p))
-    return PositionMessage(plan=p, positions=positions)
+    indices = np.flatnonzero(np.asarray(l) == int(p)).astype(np.int64, copy=False)
+    return PositionMessage._of(p, indices)
 
 
 def verify_against_list(
@@ -234,12 +304,12 @@ def verify_against_list(
     [0, L) counts as a value mismatch.  Only then is the message length
     compared against ``cfg.length_bounds(L)``.
     """
-    plan_value = int(msg.plan)
-    for j in msg.positions:
-        if j >= L or own[j] != plan_value:
-            return ConsistencyVerdict(False, VerdictReason.VALUE_MISMATCH)
+    indices = msg.indices
+    n = len(indices)
+    # positions are increasing, so the last one is the largest
+    if n and (indices[-1] >= L or (np.asarray(own)[indices] != int(msg.plan)).any()):
+        return ConsistencyVerdict(False, VerdictReason.VALUE_MISMATCH)
     low, high = cfg.length_bounds(L)
-    n = len(msg.positions)
     if n < low:
         return ConsistencyVerdict(False, VerdictReason.LENGTH_TOO_SHORT)
     if n > high:
@@ -253,10 +323,11 @@ def forward_message(
     """Step (ii): loyal forwarding of the commander's message.
 
     A lieutenant who found the commander's message consistent passes it on
-    verbatim; otherwise he announces BOT and sends no list.
+    verbatim (the same immutable message); otherwise he announces BOT and
+    sends no list.
     """
     if verdict.consistent:
-        return received.plan, PositionMessage(received.plan, received.positions)
+        return received.plan, received
     return BOT, None
 
 
@@ -404,39 +475,39 @@ def run_agreement(
     plan = Plan(commander_plan)
     kind = adversary.kind
     L = lists.length
+    list_a, list_b, list_c = lists.values
 
     # step (i): the commander announces a plan and positions to each
     # lieutenant; a conflicting commander splits the plans but keeps each
     # message individually truthful so that both verify cleanly
     if kind is AdversaryKind.TRAITOR_A_CONFLICTING:
-        m_ab, m_ac = adversaries.traitor_a_conflicting_messages(lists.list_a)
+        m_ab, m_ac = adversaries.traitor_a_conflicting_messages(list_a)
         if plan is Plan.RETREAT:
             m_ab, m_ac = m_ac, m_ab
         plan_to_b, plan_to_c = m_ab.plan, m_ac.plan
     else:
         plan_to_b = plan_to_c = plan
-        m_ab = build_position_message(lists.list_a, plan_to_b)
-        m_ac = build_position_message(lists.list_a, plan_to_c)
+        m_ab = m_ac = build_position_message(list_a, plan)
 
     # step (ia): local verification against own lists
-    verdict_b = verify_against_list(m_ab, lists.list_b, L, cfg)
-    verdict_c = verify_against_list(m_ac, lists.list_c, L, cfg)
+    verdict_b = verify_against_list(m_ab, list_b, L, cfg)
+    verdict_c = verify_against_list(m_ac, list_c, L, cfg)
 
     # step (ii): symmetric exchange between the lieutenants
     sent_b = forward_message(verdict_b, m_ab)
     sent_c = forward_message(verdict_c, m_ac)
     if kind is AdversaryKind.TRAITOR_B_FORGE_FORWARD:
         target = None if adversary.target_plan is None else Plan(adversary.target_plan)
-        sent_b = adversaries.forged_forward(lists.list_b, plan_to_b, target, L, cfg, rng)
+        sent_b = adversaries.forged_forward(list_b, plan_to_b, target, L, cfg, rng)
     elif kind is AdversaryKind.TRAITOR_C_FORGE_FORWARD:
         target = None if adversary.target_plan is None else Plan(adversary.target_plan)
-        sent_c = adversaries.forged_forward(lists.list_c, plan_to_c, target, L, cfg, rng)
+        sent_c = adversaries.forged_forward(list_c, plan_to_c, target, L, cfg, rng)
 
     received_verdict_b = (
-        verify_against_list(sent_c[1], lists.list_b, L, cfg) if sent_c[1] is not None else None
+        verify_against_list(sent_c[1], list_b, L, cfg) if sent_c[1] is not None else None
     )
     received_verdict_c = (
-        verify_against_list(sent_b[1], lists.list_c, L, cfg) if sent_b[1] is not None else None
+        verify_against_list(sent_b[1], list_c, L, cfg) if sent_b[1] is not None else None
     )
 
     case_b = table_case((plan_to_b, verdict_b), (sent_c[0], received_verdict_b))
@@ -550,7 +621,7 @@ def transcript_to_json(t: AgreementTranscript, indent: Optional[int] = None) -> 
         return {
             "edge": f"{sender}->{receiver}",
             "content": _content_json(content),
-            "positions": None if message is None else list(message.positions),
+            "positions": None if message is None else message.indices.tolist(),
         }
 
     b, c = t.lieutenant_b, t.lieutenant_c

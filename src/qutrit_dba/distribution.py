@@ -12,7 +12,11 @@ list position without revealing it to anyone else.
 A random fraction of valid runs is sacrificed in a cross-check where the
 numbers are spoken aloud in random order; any sum-rule violation exposes
 tampering.  The survivors become the CorrelatedLists consumed by the
-agreement phase.
+agreement phase.  Those hold the three lists once, as the rows of one
+read-only ``(3, L)`` ``int8`` array: assembly fills it straight from the
+surviving records, truncation slices it, and ``sample_correlated_lists``
+draws it with one table lookup.  The tuple views ``list_a``, ``list_b``
+and ``list_c`` are made on demand and never read on the hot path.
 
 A batch draws the loyal parties' randomness in numpy blocks: one
 ``integers`` call for every attempt's three basis coins, A's trit and B's
@@ -58,6 +62,7 @@ from .adversaries import (
     intercept_thresholds,
     tap_source,
 )
+from .agreement import _integer_array
 from .qutrit_core import (
     TAU,
     AttackChannel,
@@ -149,7 +154,6 @@ class RunRecord:
 _COMBO_NAMES = tuple(f"{a}{b}{c}" for a, b, c in product(range(3), repeat=3))
 
 
-@dataclass(frozen=True)
 class CorrelatedLists:
     """The three same-length secret lists produced by a distribution batch.
 
@@ -158,42 +162,79 @@ class CorrelatedLists:
     see, so it is exposed as :meth:`verify_correlation` instead of a
     constructor assertion — adversarial executions can hand the agreement
     phase lists that violate it, and the protocol must cope.
+
+    The lists are stored once, as the rows (l_a, l_b, l_c) of the
+    read-only ``(3, L)`` ``int8`` array ``values``.  ``list_a``, ``list_b``
+    and ``list_c`` are tuple views of plain ints, made on demand.  Lists
+    are immutable, and equal lists compare ``==`` as a plain bool.
     """
 
-    list_a: Tuple[int, ...]
-    list_b: Tuple[int, ...]
-    list_c: Tuple[int, ...]
+    __slots__ = ("values",)
 
-    def __post_init__(self) -> None:
-        a = tuple(int(v) for v in self.list_a)
-        b = tuple(int(v) for v in self.list_b)
-        c = tuple(int(v) for v in self.list_c)
+    def __init__(
+        self, list_a: Sequence[int], list_b: Sequence[int], list_c: Sequence[int]
+    ) -> None:
+        a = _integer_array(list_a, 2, np.int8, "l_a entries (trits)")
+        b = _integer_array(list_b, 1, np.int8, "l_b entries (bits)")
+        c = _integer_array(list_c, 1, np.int8, "l_c entries (bits)")
         if not (len(a) == len(b) == len(c)):
             raise ValueError("the three lists must have equal length")
-        if any(v not in (0, 1, 2) for v in a):
-            raise ValueError("l_a entries must be trits")
-        if any(v not in (0, 1) for v in b) or any(v not in (0, 1) for v in c):
-            raise ValueError("l_b and l_c entries must be bits")
-        object.__setattr__(self, "list_a", a)
-        object.__setattr__(self, "list_b", b)
-        object.__setattr__(self, "list_c", c)
+        self._set(np.stack((a, b, c)))
+
+    @classmethod
+    def _of(cls, values: np.ndarray) -> "CorrelatedLists":
+        # trusted: ``values`` is a (3, L) int8 array of valid entries
+        lists = object.__new__(cls)
+        lists._set(values)
+        return lists
+
+    def _set(self, values: np.ndarray) -> None:
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
+
+    @property
+    def list_a(self) -> Tuple[int, ...]:
+        return tuple(self.values[0].tolist())
+
+    @property
+    def list_b(self) -> Tuple[int, ...]:
+        return tuple(self.values[1].tolist())
+
+    @property
+    def list_c(self) -> Tuple[int, ...]:
+        return tuple(self.values[2].tolist())
 
     @property
     def length(self) -> int:
-        return len(self.list_a)
+        return self.values.shape[1]
 
     def verify_correlation(self) -> bool:
         """True iff (l_a + l_b + l_c) mod 3 = 0 at every position."""
-        return all(
-            (x + y + z) % 3 == 0
-            for x, y, z in zip(self.list_a, self.list_b, self.list_c)
-        )
+        return not (self.values.sum(axis=0) % 3).any()
 
     def truncated(self, length: int) -> "CorrelatedLists":
         if length > self.length:
             raise ValueError(f"cannot truncate length {self.length} to {length}")
-        return CorrelatedLists(
-            self.list_a[:length], self.list_b[:length], self.list_c[:length]
+        return CorrelatedLists._of(self.values[:, :length])
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CorrelatedLists):
+            return NotImplemented
+        return bool(np.array_equal(self.values, other.values))
+
+    def __hash__(self) -> int:
+        return hash((self.length, self.values.tobytes()))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("CorrelatedLists is immutable")
+
+    def __reduce__(self):
+        return CorrelatedLists, tuple(self.values)
+
+    def __repr__(self) -> str:
+        return (
+            f"CorrelatedLists(list_a={self.list_a!r}, list_b={self.list_b!r}, "
+            f"list_c={self.list_c!r})"
         )
 
 
@@ -800,15 +841,17 @@ def cross_check(
 
 def assemble_lists(records: Sequence[RunRecord]) -> CorrelatedLists:
     """Transcribe surviving valid runs into the three secret lists."""
-    survivors = [r for r in records if r.valid and not r.consumed_by_check]
-    return CorrelatedLists(
-        list_a=tuple(r.choices_a.number for r in survivors),
-        list_b=tuple(r.choices_b.number for r in survivors),
-        list_c=tuple(r.choices_c.number for r in survivors),
-    )
+    numbers = [
+        (r.choices_a.number, r.choices_b.number, r.choices_c.number)
+        for r in records
+        if r.valid and not r.consumed_by_check
+    ]
+    values = np.array(numbers, dtype=np.int8).reshape(-1, 3)
+    return CorrelatedLists._of(np.ascontiguousarray(values.T))
 
 
-_VALID_COMBOS = ((0, 0, 0), (1, 1, 1), (2, 0, 1), (2, 1, 0))
+# the four number triples (l_a, l_b, l_c) a valid run can carry, one per row
+_VALID_COMBOS = np.array(((0, 0, 0), (1, 1, 1), (2, 0, 1), (2, 1, 0)), dtype=np.int8)
 
 
 def sample_correlated_lists(length: int, rng: RandomSource) -> CorrelatedLists:
@@ -820,13 +863,7 @@ def sample_correlated_lists(length: int, rng: RandomSource) -> CorrelatedLists:
     the agreement phase in isolation.
     """
     picks = rng.integers(0, 4, size=length)
-    a, b, c = [], [], []
-    for i in picks:
-        x, y, z = _VALID_COMBOS[int(i)]
-        a.append(x)
-        b.append(y)
-        c.append(z)
-    return CorrelatedLists(tuple(a), tuple(b), tuple(c))
+    return CorrelatedLists._of(np.ascontiguousarray(_VALID_COMBOS[picks].T))
 
 
 # ---------------------------------------------------------------------------
@@ -936,13 +973,9 @@ def lists_to_jsonl(lists: CorrelatedLists, party) -> str:
     """
     if isinstance(party, str):
         party = GeneralId(party.upper())
-    own = {
-        GeneralId.A: ("l_a", lists.list_a),
-        GeneralId.B: ("l_b", lists.list_b),
-        GeneralId.C: ("l_c", lists.list_c),
-    }[party]
-    name, values = own
+    row = _GENERALS.index(party)
+    name = ("l_a", "l_b", "l_c")[row]
     return "\n".join(
         json.dumps({"position": j, name: v}, sort_keys=True)
-        for j, v in enumerate(values)
+        for j, v in enumerate(lists.values[row].tolist())
     )

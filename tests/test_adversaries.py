@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from qutrit_dba.adversaries import (
     AttackHook,
+    _likely_sum_mod3,
     adaptive_basis_announcer,
     asymmetry_detected,
     channel_from_name,
@@ -256,6 +259,45 @@ def test_forged_forward_matches_expected_length():
     assert len(msg) == round(cfg.expected_fraction * 400)
     assert list(msg.positions) == sorted(set(msg.positions))
     assert all(lists.list_b[j] == 1 for j in msg.positions)
+
+
+def _loop_forge(own, target, needed, rng):
+    # the loop form of the forger, kept as the reference for the array form
+    candidates = [j for j, v in enumerate(own) if v == int(target)]
+    picked = rng.choice(len(candidates), size=needed, replace=False)
+    return tuple(sorted(candidates[int(i)] for i in picked))
+
+
+def test_forger_matches_the_loop_reference():
+    lists = sample_correlated_lists(3000, np.random.default_rng(21))
+    for seed, (target, needed) in enumerate(itertools.product(Plan, (0, 1, 700))):
+        received = Plan(1 - target)
+        for own in (lists.values[1], lists.list_b, lists.list_c):
+            msg = traitor_forge_forward(own, received, target, needed, np.random.default_rng(seed))
+            assert msg.plan is target
+            assert msg.positions == _loop_forge(own, target, needed, np.random.default_rng(seed))
+
+
+def _exact_likely_sum(unheard):
+    # enumerate the unheard numbers with exact honest priors
+    alphabets = [(0, 1, 2) if g is A else (0, 1) for g in unheard]
+    weight = Fraction(1, math.prod(len(a) for a in alphabets))
+    dist = {r: Fraction(0) for r in range(3)}
+    for values in itertools.product(*alphabets):
+        dist[sum(values) % 3] += weight
+    best = max(dist.values())
+    return min(r for r, p in dist.items() if p == best)
+
+
+@pytest.mark.parametrize("traitor", [A, B, C])
+def test_likely_sum_mod3_matches_exact_enumeration(traitor):
+    others = tuple(g for g in GeneralId if g is not traitor)
+    # every tuple of unheard generals a liar can pass, in speaking order
+    for keep in itertools.product((False, True), repeat=2):
+        unheard = tuple(g for g, k in zip(others, keep) if k)
+        assert _likely_sum_mod3(unheard) == _exact_likely_sum(unheard)
+        assert _likely_sum_mod3(unheard) == _likely_sum_mod3(unheard)
+    assert _likely_sum_mod3.cache_info().currsize <= 12
 
 
 # --- strategy compilation ---------------------------------------------------------

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import copy
 import json
 import math
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -29,7 +31,7 @@ from qutrit_dba.agreement import (
     transcript_to_json,
     verify_against_list,
 )
-from qutrit_dba.distribution import sample_correlated_lists
+from qutrit_dba.distribution import CorrelatedLists, sample_correlated_lists
 from qutrit_dba.strategies import (
     GeneralId,
     honest,
@@ -328,3 +330,125 @@ def test_transcript_json_structure():
     assert data["decisions"]["B"] == {"kind": "follow", "plan": 1}
     # byte-identical for identical transcripts
     assert transcript_to_json(t) == transcript_to_json(t)
+
+
+# --- array storage: input contract, loop references, equality, export ----------
+
+
+@pytest.mark.parametrize(
+    "positions",
+    [(-1,), (2, 2**70), (2**70,), np.array([-1, 2]), np.array([2**64 - 1], dtype=np.uint64),
+     (float("inf"),), (None,), ((0, 1),)],
+)
+def test_position_message_rejects_bad_positions_with_value_error(positions):
+    with pytest.raises(ValueError):
+        PositionMessage(Plan.ATTACK, positions)
+
+
+@pytest.mark.parametrize(
+    "positions",
+    [(0, 3, 6), [0, 3, 6], range(0, 9, 3), np.array([0, 3, 6]),
+     np.array([0, 3, 6], dtype=np.uint8), (np.int64(0), np.int64(3), np.int64(6))],
+)
+def test_position_message_positions_read_back_as_plain_ints(positions):
+    msg = PositionMessage(Plan.ATTACK, positions)
+    assert msg.positions == (0, 3, 6)
+    assert all(type(j) is int for j in msg.positions)
+    assert len(msg) == 3
+    assert (msg == PositionMessage(Plan.ATTACK, (0, 3, 6))) is True
+    assert (msg != PositionMessage(Plan.RETREAT, (0, 3, 6))) is True
+    assert hash(msg) == hash(PositionMessage(Plan.ATTACK, (0, 3, 6)))
+
+
+def test_position_message_owns_a_frozen_copy():
+    source = np.array([1, 2])
+    msg = PositionMessage(Plan.ATTACK, source)
+    source[0] = 0  # the caller's array stays writable and the message keeps its own
+    assert msg.positions == (1, 2)
+    assert PositionMessage(Plan.ATTACK, ()).positions == ()
+    with pytest.raises(ValueError):
+        msg.indices[0] = 5
+    with pytest.raises(AttributeError):
+        msg.plan = Plan.RETREAT
+
+
+def _loop_positions(l, plan):
+    # the loop form of step (i), kept as the reference for the array form
+    return tuple(j for j, v in enumerate(l) if v == int(plan))
+
+
+def _loop_verdict(positions, plan, own, L, cfg):
+    # the loop form of step (ia): values first, then the length window
+    for j in positions:
+        if j >= L or own[j] != int(plan):
+            return ConsistencyVerdict(False, VerdictReason.VALUE_MISMATCH)
+    low, high = cfg.length_bounds(L)
+    if len(positions) < low:
+        return ConsistencyVerdict(False, VerdictReason.LENGTH_TOO_SHORT)
+    if len(positions) > high:
+        return ConsistencyVerdict(False, VerdictReason.LENGTH_TOO_LONG)
+    return ConsistencyVerdict(True)
+
+
+def test_build_and_verify_match_the_loop_reference():
+    rng = np.random.default_rng(21)
+    for trial in range(60):
+        length = int(rng.integers(1, 400))
+        lists = sample_correlated_lists(length, rng)
+        for plan in Plan:
+            msg = build_position_message(lists.values[0], plan)
+            assert msg.positions == _loop_positions(lists.list_a, plan)
+            assert build_position_message(lists.list_a, plan) == msg
+            # honest, dropped, foreign and past-the-end positions
+            candidates = [msg.positions, msg.positions[: len(msg) // 2]]
+            picked = rng.choice(length + 3, size=min(length, 40), replace=False)
+            candidates.append(tuple(sorted(int(j) for j in picked)))
+            for positions in candidates:
+                for own in (lists.list_b, lists.list_c):
+                    for L in (length, length - 1):
+                        got = verify_against_list(PositionMessage(plan, positions), own, L, CFG)
+                        assert got == _loop_verdict(positions, plan, own, L, CFG)
+
+
+def test_forward_passes_the_received_message_itself():
+    msg = PositionMessage(Plan.RETREAT, (1, 4))
+    assert forward_message(OK, msg)[1] is msg
+
+
+def _transcript_pair(plan):
+    lists = sample_correlated_lists(400, np.random.default_rng(22))
+
+    def run(p):
+        return run_agreement(lists, p, traitor_b_forge_forward(), np.random.default_rng(23))
+
+    return run(plan), run(plan), run(Plan(1 - plan))
+
+
+def test_transcripts_compare_as_plain_bools():
+    first, again, other = _transcript_pair(Plan.ATTACK)
+    assert (first == again) is True
+    assert (first != again) is False
+    assert (first != other) is True
+    # the pair a traced benchmark operation returns, compared the same way
+    pair = (first, evaluate_conditions(first))
+    assert (pair != (again, evaluate_conditions(again))) is False
+    assert pickle.loads(pickle.dumps(first)) == first
+    assert copy.deepcopy(first) == first
+
+
+@pytest.mark.parametrize(
+    "strategy_factory",
+    [honest, traitor_a_conflicting, traitor_b_forge_forward, traitor_c_forge_forward],
+)
+@pytest.mark.parametrize("plan", [Plan.ATTACK, Plan.RETREAT])
+def test_transcript_json_same_for_tuple_and_array_lists(strategy_factory, plan):
+    sampled = sample_correlated_lists(300, np.random.default_rng(24))
+    from_tuples = CorrelatedLists(sampled.list_a, sampled.list_b, sampled.list_c)
+    from_arrays = CorrelatedLists(*(np.array(row, dtype=np.int64) for row in sampled.values))
+    texts = {
+        transcript_to_json(
+            run_agreement(lists, plan, strategy_factory(), np.random.default_rng(25))
+        )
+        for lists in (sampled, from_tuples, from_arrays)
+    }
+    assert len(texts) == 1

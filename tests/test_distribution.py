@@ -691,3 +691,101 @@ def test_distribution_config_validation():
         DistributionConfig(target_length=10, detector_efficiency=1.2)
     with pytest.raises(ValueError):
         DistributionConfig(target_length=10, inconsistency_threshold=1.0)
+
+
+# --- array-backed lists ------------------------------------------------------------
+
+_LOOP_COMBOS = ((0, 0, 0), (1, 1, 1), (2, 0, 1), (2, 1, 0))
+
+
+@pytest.mark.parametrize(
+    "lists",
+    [
+        ((-1,), (0,), (0,)),
+        ((3,), (0,), (0,)),
+        ((300,), (0,), (0,)),
+        ((2**70,), (0,), (0,)),
+        ((0,), (2,), (0,)),
+        ((0,), (0,), (2,)),
+        ((0,), (300,), (0,)),
+        ((0,), (0,), (2**70,)),
+        ((0,), (-1,), (0,)),
+        ((np.int64(-1),), (0,), (0,)),
+        (np.array([300]), (0,), (0,)),
+        (np.array([2**64 - 1], dtype=np.uint64), (0,), (0,)),
+        ((0,), np.array([-1], dtype=np.int8), (0,)),
+        ((None,), (0,), (0,)),
+        ((0, 1), np.zeros(2), np.zeros(3)),
+    ],
+)
+def test_correlated_lists_reject_bad_entries_with_value_error(lists):
+    with pytest.raises(ValueError):
+        CorrelatedLists(*lists)
+
+
+def test_correlated_lists_from_arrays_read_back_as_plain_ints():
+    from_arrays = CorrelatedLists(
+        np.array([2, 0]), np.array([1, 0], dtype=np.uint8), (np.int64(0), np.int64(0))
+    )
+    from_tuples = CorrelatedLists((2, 0), (1, 0), (0, 0))
+    assert from_arrays.list_a == (2, 0)
+    assert from_arrays.list_b == (1, 0)
+    assert from_arrays.list_c == (0, 0)
+    views = from_arrays.list_a + from_arrays.list_b + from_arrays.list_c
+    assert all(type(v) is int for v in views)
+    assert (from_arrays == from_tuples) is True
+    assert (from_arrays != CorrelatedLists((1, 0), (1, 0), (0, 0))) is True
+    assert hash(from_arrays) == hash(from_tuples)
+    for party in "abc":
+        assert lists_to_jsonl(from_arrays, party) == lists_to_jsonl(from_tuples, party)
+
+
+def test_correlated_lists_are_frozen():
+    source = np.array([2, 0])
+    lists = CorrelatedLists(source, (1, 0), (0, 0))
+    source[0] = 1  # the caller's array stays writable and the lists keep their own
+    assert lists.list_a == (2, 0)
+    with pytest.raises(ValueError):
+        lists.values[0, 0] = 1
+    with pytest.raises(AttributeError):
+        lists.values = None
+    short = lists.truncated(1)
+    assert short.list_a == (2,)
+    assert not short.values.flags.writeable
+
+
+def test_sample_correlated_lists_matches_the_loop_draw():
+    picks = np.random.default_rng(31).integers(0, 4, size=500)
+    expected = [_LOOP_COMBOS[int(i)] for i in picks]
+    lists = sample_correlated_lists(500, np.random.default_rng(31))
+    assert lists.list_a == tuple(x for x, _, _ in expected)
+    assert lists.list_b == tuple(y for _, y, _ in expected)
+    assert lists.list_c == tuple(z for _, _, z in expected)
+    assert lists.values.dtype == np.int8 and lists.values.shape == (3, 500)
+
+
+def test_verify_correlation_matches_the_loop():
+    rng = np.random.default_rng(32)
+    for _ in range(50):
+        lists = sample_correlated_lists(int(rng.integers(1, 30)), rng)
+        if rng.random() < 0.5:
+            b = list(lists.list_b)
+            j = int(rng.integers(len(b)))
+            b[j] = 1 - b[j]
+            lists = CorrelatedLists(lists.list_a, b, lists.list_c)
+        expected = all(
+            (x + y + z) % 3 == 0 for x, y, z in zip(lists.list_a, lists.list_b, lists.list_c)
+        )
+        assert lists.verify_correlation() is expected
+
+
+def test_assemble_lists_matches_the_loop():
+    config = DistributionConfig(target_length=40, check_fraction=0.3, rng_seed=33)
+    records = run_batch(config)
+    cross_check(records, config, rng=np.random.default_rng(34))
+    survivors = [r for r in records if r.valid and not r.consumed_by_check]
+    lists = assemble_lists(records)
+    assert lists.list_a == tuple(r.choices_a.number for r in survivors)
+    assert lists.list_b == tuple(r.choices_b.number for r in survivors)
+    assert lists.list_c == tuple(r.choices_c.number for r in survivors)
+    assert assemble_lists([]).length == 0
