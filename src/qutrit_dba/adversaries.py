@@ -410,6 +410,14 @@ def traitor_a_conflicting_messages(l_a: Sequence[int]) -> Tuple[PositionMessage,
     )
 
 
+class _TooFewCandidates(ValueError):
+    """The forger's list holds fewer positions of the target than asked for."""
+
+    def __init__(self, needed: int, available: int) -> None:
+        super().__init__(f"cannot forge {needed} positions from {available} candidates")
+        self.available = available
+
+
 def traitor_forge_forward(
     own_list: Sequence[int],
     received_plan: Plan,
@@ -431,9 +439,7 @@ def traitor_forge_forward(
         raise ValueError("forgery target must differ from the received plan")
     candidates = np.flatnonzero(np.asarray(own_list) == int(target)).astype(np.int64, copy=False)
     if len(candidates) < needed_length:
-        raise ValueError(
-            f"cannot forge {needed_length} positions from {len(candidates)} candidates"
-        )
+        raise _TooFewCandidates(needed_length, len(candidates))
     picked = rng.choice(len(candidates), size=needed_length, replace=False)
     return PositionMessage._of(target, np.sort(candidates[picked]))
 
@@ -446,11 +452,19 @@ def forged_forward(
     cfg: AgreementConfig,
     rng: RandomSource,
 ) -> Tuple[Plan, PositionMessage]:
-    """Step-(ii) payload of a forging lieutenant, sized to pass length checks."""
+    """Step-(ii) payload of a forging lieutenant, sized to pass length checks.
+
+    A list holding fewer positions of the target plan than that size
+    forges with all of them.
+    """
     if target_plan is None:
         target_plan = Plan(1 - int(Plan(received_plan)))
     needed = round(cfg.expected_fraction * length)
-    msg = traitor_forge_forward(own_list, received_plan, target_plan, needed, rng)
+    try:
+        msg = traitor_forge_forward(own_list, received_plan, target_plan, needed, rng)
+    except _TooFewCandidates as short:
+        # raised before any draw, so the retry sees the same generator state
+        msg = traitor_forge_forward(own_list, received_plan, target_plan, short.available, rng)
     return msg.plan, msg
 
 

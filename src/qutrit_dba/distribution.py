@@ -11,31 +11,38 @@ list position without revealing it to anyone else.
 
 A random fraction of valid runs is sacrificed in a cross-check where the
 numbers are spoken aloud in random order; any sum-rule violation exposes
-tampering.  The survivors become the CorrelatedLists consumed by the
-agreement phase.  Those hold the three lists once, as the rows of one
-read-only ``(3, L)`` ``int8`` array: assembly fills it straight from the
-surviving records, truncation slices it, and ``sample_correlated_lists``
+tampering.  The check draws its randomness in two blocks: one ``random``
+call for every valid run's check coin, then one ``integers`` call for
+every checked run's reveal order, an index into the six permutations.
+The survivors become the CorrelatedLists consumed by the agreement phase.
+Those hold the three lists once, as the rows of one read-only ``(3, L)``
+``int8`` array: assembly fills it with one lookup by the surviving
+records' codes, truncation slices it, and ``sample_correlated_lists``
 draws it with one table lookup.  The tuple views ``list_a``, ``list_b``
 and ``list_c`` are made on demand and never read on the hot path.
 
-A batch draws the loyal parties' randomness in numpy blocks: one
-``integers`` call for every attempt's three basis coins, A's trit and B's
-and C's bits, and one ``random`` call for every attempt's click and
-measurement uniforms.  Each attempt is then one row of the block, run
-through ``execute_run`` and ``reveal_and_sift``.  An honest run never
-builds a state vector: every honest operator is diag(1, w^m1, w^m2) with
-integer exponents, so a run reduces to two sums mod 3 and a lookup in a
-9-entry cumulative outcome table (computed at import from the actual
-operators, not hard-coded), thresholded with the measurement uniform.
+Each party's draw carries a code, 3 * (basis is II) + number, so a run is
+fixed by one of 6 x 6 x 6 code triples.  A batch draws the loyal parties'
+randomness in numpy blocks: one ``integers`` call for every attempt's
+three basis coins, A's trit and B's and C's bits, folded into one code
+triple per attempt by a matrix product, and one ``random`` call for every
+attempt's click and measurement uniforms.  Each attempt is then one row
+of the block, run through ``execute_run`` and ``reveal_and_sift``.  An
+honest run never builds a state vector: every honest operator is
+diag(1, w^m1, w^m2) with integer exponents, so a run reduces to two sums
+mod 3, and the 216 code triples index the 9-entry cumulative outcome
+table of those sums (computed at import from the actual operators, not
+hard-coded), thresholded with the measurement uniform.
 A stock attack hook (a Kraus channel or an intercept-resend tap) acts on
 one hop, so from each of the 9 pre-hop states it leads to a finite set of
 outcome distributions.  Those are compiled, once per hop and channel or
 basis, into cumulative outcome tables, indexed by the pre-hop exponent
 pair and the later parties' operators and computed with the same
 ``qutrit_core`` calls as the state path; an engaged attempt is then a
-lookup, plus the tap's own measurement uniform for intercept-resend.  A
-hand-built hook has no tables and runs through explicit state objects
-from its hop onward.  Hooks draw only from their own generators.
+lookup by the draw codes, plus the tap's own measurement uniform for
+intercept-resend.  A hand-built hook has no tables and runs through
+explicit state objects from its hop onward.  Hooks draw only from their
+own generators.
 """
 
 from __future__ import annotations
@@ -46,7 +53,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from statistics import NormalDist
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -107,7 +114,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PartyChoices:
-    """One party's secret draw for a single run: a basis and a number."""
+    """One party's secret draw for a single run: a basis and a number.
+
+    ``code`` is the draw as one integer, 3 * (basis is II) + number, in
+    range(6).  It is a plain attribute, not a field, so equality, hashing,
+    ``repr`` and ``asdict`` see only the basis and the number.
+    """
 
     basis: BasisChoice
     number: int
@@ -117,6 +129,7 @@ class PartyChoices:
             raise ValueError(f"basis must be a BasisChoice, got {self.basis!r}")
         if self.number not in (0, 1, 2):
             raise ValueError(f"encoded number must be 0, 1 or 2, got {self.number!r}")
+        object.__setattr__(self, "code", 3 * (self.basis is BasisChoice.II) + int(self.number))
 
 
 @dataclass(slots=True)
@@ -358,16 +371,37 @@ def _cumulative(probs) -> Tuple[float, float]:
 # the cumulative outcome table of an honest run, indexed 3 * e1 + e2
 _CUM_TABLE = tuple(_cumulative(_PROB_TABLE[pair]) for pair in product(range(3), range(3)))
 
-# each party's contribution to the exponent pair: basis II adds (1, 1),
-# encoding n adds (n, -n)
-_BASIS_EXPONENT = {BasisChoice.I: 0, BasisChoice.II: 1}
 
-# every draw a run can hold, built once: _CHOICES[basis coin][number] and
-# _OUTCOMES[index]
-_CHOICES = tuple(
-    tuple(PartyChoices(basis, n) for n in range(3)) for basis in (BasisChoice.I, BasisChoice.II)
-)
+def _pair_index(*codes: int) -> int:
+    # the exponent pair 3 * e1 + e2 of the parties drawing ``codes``: basis
+    # II adds (1, 1) and encoding n adds (n, -n)
+    t = sum(code // 3 for code in codes)
+    s = sum(code % 3 for code in codes)
+    return 3 * ((t + s) % 3) + (t - s) % 3
+
+
+# A run is fixed by its three draw codes, so every per-attempt lookup is
+# one index into a table built here from the codes alone.  A triple of
+# codes (a, b, c) is indexed 36 * a + 6 * b + c.
+_CODES3 = tuple(product(range(6), repeat=3))
+
+# every draw a run can hold, indexed by code, and every outcome, indexed
+# by its outcome index
+_CHOICES = tuple(PartyChoices(basis, n) for basis in BasisChoice for n in range(3))
 _OUTCOMES = tuple(MeasurementOutcome(k) for k in range(3))
+
+# the three draws of a code triple
+_TRIPLES = tuple(tuple(_CHOICES[code] for code in codes) for codes in _CODES3)
+
+# the honest outcome thresholds of a code triple: the _CUM_TABLE rows
+# themselves, so a lookup is bit-identical to the exponent arithmetic
+_CUM_BY_CODE = tuple(_CUM_TABLE[_pair_index(*codes)] for codes in _CODES3)
+
+# the numbers of every code triple, as the rows (l_a, l_b, l_c) of a (3, 216)
+# array, so that taking columns by code gives the lists
+_NUMBERS_BY_CODE = np.array(
+    [[codes[k] % 3 for codes in _CODES3] for k in range(3)], dtype=np.int8
+)
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +416,15 @@ _OUTCOMES = tuple(MeasurementOutcome(k) for k in range(3))
 # path, so a lookup picks the outcome that path would pick.
 
 _LATER_OPERATORS = ((0, 0), (0, 1), (1, 0), (1, 1))  # (basis exponent, number)
+
+# a later party's operator index, by its draw code; B and C encode bits, so
+# codes 2 and 5 never reach a table
+_LATER_BY_CODE = (0, 1, None, 2, 3, None)
+
+# the pre-hop exponent pair of A's and B's draw codes (a, b), indexed
+# 6 * a + b; before hop 1 only A has acted, which is b = 0 (basis I,
+# number 0, the identity)
+_PRE_HOP = tuple(_pair_index(a, b) for a, b in product(range(6), repeat=2))
 
 
 class _TapTables(NamedTuple):
@@ -459,8 +502,8 @@ def execute_run(
         uniforms: the attempt's pre-drawn (click, measurement) uniforms in
             [0, 1), as a batch draws them.
 
-    The honest path tracks phase exponents mod 3 and looks the outcome up
-    in a cumulative table.  An engaged stock hook looks its outcome up in
+    The honest path looks the outcome thresholds up by the three draw
+    codes.  An engaged stock hook looks its outcome up in
     the hook's own tables; a hand-built hook promotes the run to explicit
     state objects from its hop onward.
     """
@@ -495,13 +538,7 @@ def execute_run(
         if state is not None:
             cum = _cumulative(outcome_probabilities(state))
         elif cum is None:
-            t = (
-                (choices_a.basis is BasisChoice.II)
-                + (choices_b.basis is BasisChoice.II)
-                + (choices_c.basis is BasisChoice.II)
-            )
-            s = choices_a.number + choices_b.number + choices_c.number
-            cum = _CUM_TABLE[3 * ((t + s) % 3) + (t - s) % 3]
+            cum = _CUM_BY_CODE[36 * choices_a.code + 6 * choices_b.code + choices_c.code]
         outcome = _OUTCOMES[0 if u < cum[0] else 1 if u < cum[1] else 2]
     return RunRecord(run_id, choices_a, choices_b, choices_c, outcome, trace)
 
@@ -516,18 +553,12 @@ def _tap_row(
     # the outcome thresholds of an engaged stock hook's run; intercept-resend
     # first measures with one uniform from the hook's own generator, as its
     # transform does, and records the resent ket in the hook's memory
-    ta = choices_a.basis is BasisChoice.II
-    tb = choices_b.basis is BasisChoice.II
-    tc = choices_c.basis is BasisChoice.II
-    later = 2 * tc + choices_c.number
+    later = _LATER_BY_CODE[choices_c.code]
     if attack.location == 1:
-        e = ta + choices_a.number
-        f = ta - choices_a.number
-        later += 4 * (2 * tb + choices_b.number)
+        pre = _PRE_HOP[6 * choices_a.code]
+        later += 4 * _LATER_BY_CODE[choices_b.code]
     else:
-        e = ta + tb + choices_a.number + choices_b.number
-        f = ta + tb - choices_a.number - choices_b.number
-    pre = 3 * (e % 3) + f % 3
+        pre = _PRE_HOP[6 * choices_a.code + choices_b.code]
     if tables.intercept is None:
         return tables.rows[pre * tables.width + later]
     c0, c1 = tables.intercept[pre]
@@ -540,14 +571,9 @@ def _tap_row(
 def _attacked_state(attack, parties: Sequence[PartyChoices]):
     # the honest exponents up to the hook's hop, then the hook's output
     # carried through the later parties' operators as a state object
-    e1 = 0
-    e2 = 0
-    for choices in parties[: attack.location]:
-        t = _BASIS_EXPONENT[choices.basis]
-        e1 = (e1 + t + choices.number) % 3
-        e2 = (e2 + t - choices.number) % 3
-    state = attack(_STATE_TABLE[(e1, e2)])
-    later = [(_BASIS_EXPONENT[c.basis], c.number) for c in parties[attack.location:]]
+    pre = _pair_index(*(choices.code for choices in parties[: attack.location]))
+    state = attack(_STATE_TABLE[divmod(pre, 3)])
+    later = [(c.code // 3, c.number) for c in parties[attack.location:]]
     return _carry(state, later)
 
 
@@ -610,6 +636,10 @@ def reveal_and_sift(
 # coins of A, B and C, A's trit, and B's and C's bits
 _DRAW_HIGH = (2, 2, 2, 3, 2, 2)
 
+# the weight of each draw in the attempt's code triple 36 * a + 6 * b + c,
+# where a party's code is 3 * basis coin + number
+_DRAW_WEIGHTS = np.array((108, 18, 3, 36, 6, 1))
+
 
 def _run_block(
     hooks: ProtocolHooks,
@@ -626,16 +656,15 @@ def _run_block(
     rest of its rows go unused.  Returns the number of valid runs added.
     """
     attack, announcer, policy = hooks.attack, hooks.basis_announcer, hooks.claim_policy
-    rows = rng.integers(0, _DRAW_HIGH, size=(size, 6)).tolist()
+    codes = (rng.integers(0, _DRAW_HIGH, size=(size, 6)) @ _DRAW_WEIGHTS).tolist()
     uniforms = rng.random((size, 2)).tolist()
     run_id = len(records)
     n_valid = 0
-    for (ta, tb, tc, na, nb, nc), u in zip(rows, uniforms):
+    for code, u in zip(codes, uniforms):
+        a, b, c = _TRIPLES[code]
         # execute_run and reveal_and_sift are looked up per call, so a
         # wrapper installed on this module sees every attempt
-        record = execute_run(
-            _CHOICES[ta][na], _CHOICES[tb][nb], _CHOICES[tc][nc], attack, eta, None, run_id, u
-        )
+        record = execute_run(a, b, c, attack, eta, None, run_id, u)
         record = reveal_and_sift(record, announcer, policy)
         records.append(record)
         run_id += 1
@@ -774,6 +803,9 @@ def run_batch(
 
 _GENERALS = (GeneralId.A, GeneralId.B, GeneralId.C)
 
+# the six reveal orders, indexed by the cross-check's order draws
+_ORDERS = tuple(permutations(_GENERALS))
+
 
 def cross_check(
     records: Sequence[RunRecord],
@@ -785,43 +817,53 @@ def cross_check(
 
     Each valid run is checked independently with probability
     ``config.check_fraction``.  For a checked run the three numbers are
-    announced one by one in a fresh uniformly random order; a traitor's
+    announced one by one in a uniformly random order; a traitor's
     RevealHook answers at the traitor's turn, knowing what was said so
     far.  A checked position is inconsistent when the announced numbers do
     not sum to 0 mod 3.  Checked runs are marked consumed either way.
+
+    ``rng`` supplies two blocks: one uniform per valid run, in record
+    order (the run is checked when it falls below the check fraction),
+    then one integer in range(6) per checked run, indexing the six orders
+    of (A, B, C) as ``itertools.permutations`` lists them.
     """
     if rng is None:
         raise ValueError("cross_check needs a RandomSource")
+    valid = [r for r in records if r.valid]
+    picked = np.flatnonzero(rng.random(len(valid)) < config.check_fraction).tolist()
+    order_ids = rng.integers(0, len(_ORDERS), size=len(picked)).tolist()
+    traitor = None if adversary is None else adversary.traitor
     checked: List[int] = []
     orders: Dict[int, Tuple[GeneralId, GeneralId, GeneralId]] = {}
     inconsistent = set()
     traitor_last = set()
-    for record in records:
-        if not record.valid:
-            continue
-        if float(rng.random()) >= config.check_fraction:
-            continue
+    for i, k in zip(picked, order_ids):
+        record = valid[i]
         record.consumed_by_check = True
-        perm = rng.permutation(3)
-        order = tuple(_GENERALS[int(i)] for i in perm)
-        true_numbers = {
-            GeneralId.A: record.choices_a.number,
-            GeneralId.B: record.choices_b.number,
-            GeneralId.C: record.choices_c.number,
-        }
-        revealed: Dict[GeneralId, int] = {}
-        for general in order:
-            if adversary is not None and adversary.traitor is general:
-                value = int(adversary(record.run_id, dict(revealed), record))
-            else:
-                value = true_numbers[general]
-            revealed[general] = value
-        checked.append(record.run_id)
-        orders[record.run_id] = order
-        if sum(revealed.values()) % 3 != 0:
-            inconsistent.add(record.run_id)
-        if adversary is not None and order[-1] is adversary.traitor:
-            traitor_last.add(record.run_id)
+        run_id = record.run_id
+        order = _ORDERS[k]
+        if adversary is None:
+            total = record.choices_a.number + record.choices_b.number + record.choices_c.number
+        else:
+            true_numbers = {
+                GeneralId.A: record.choices_a.number,
+                GeneralId.B: record.choices_b.number,
+                GeneralId.C: record.choices_c.number,
+            }
+            revealed: Dict[GeneralId, int] = {}
+            for general in order:
+                if general is traitor:
+                    value = int(adversary(run_id, dict(revealed), record))
+                else:
+                    value = true_numbers[general]
+                revealed[general] = value
+            total = sum(revealed.values())
+            if order[-1] is traitor:
+                traitor_last.add(run_id)
+        checked.append(run_id)
+        orders[run_id] = order
+        if total % 3 != 0:
+            inconsistent.add(run_id)
     rate = len(inconsistent) / len(checked) if checked else 0.0
     verdict = (
         CheckVerdict.TAMPERING_DETECTED
@@ -841,13 +883,12 @@ def cross_check(
 
 def assemble_lists(records: Sequence[RunRecord]) -> CorrelatedLists:
     """Transcribe surviving valid runs into the three secret lists."""
-    numbers = [
-        (r.choices_a.number, r.choices_b.number, r.choices_c.number)
+    codes = [
+        36 * r.choices_a.code + 6 * r.choices_b.code + r.choices_c.code
         for r in records
         if r.valid and not r.consumed_by_check
     ]
-    values = np.array(numbers, dtype=np.int8).reshape(-1, 3)
-    return CorrelatedLists._of(np.ascontiguousarray(values.T))
+    return CorrelatedLists._of(_NUMBERS_BY_CODE.take(codes, axis=1))
 
 
 # the four number triples (l_a, l_b, l_c) a valid run can carry, one per row
@@ -903,7 +944,7 @@ def theoretical_statistics() -> TheoreticalStatistics:
     for bases in product((BasisChoice.I, BasisChoice.II), repeat=3):
         for a, b, c in product(range(3), range(2), range(2)):
             weight = Fraction(1, 8) * Fraction(1, 12)
-            t = sum(_BASIS_EXPONENT[x] for x in bases)
+            t = sum(x is BasisChoice.II for x in bases)
             s = a + b + c
             p0 = _exact_outcome0((t + s) % 3, (t - s) % 3)
             matched = bases[0] is bases[1] is bases[2]

@@ -8,7 +8,7 @@ cycles between the distribution and agreement layers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Callable, Dict, FrozenSet, Optional, Tuple
@@ -125,7 +125,6 @@ class AdversaryStrategy:
     target_plan: Optional[int] = None
     attack_rate: float = 1.0
     adaptive_basis: bool = False
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.attack_rate <= 1.0:
@@ -146,11 +145,6 @@ class AdversaryStrategy:
             raise ValueError(f"report_rate must be in [0, 1], got {self.report_rate!r}")
         if self.target_plan is not None and self.target_plan not in (0, 1):
             raise ValueError(f"target_plan must be 0 or 1, got {self.target_plan!r}")
-
-    @property
-    def is_quantum(self) -> bool:
-        """True when the strategy tampers with the qutrit in flight."""
-        return self.location is not None
 
 
 # ---------------------------------------------------------------------------

@@ -25,9 +25,10 @@ from qutrit_dba.adversaries import (
     traitor_forge_forward,
     truthful_reveal,
 )
-from qutrit_dba.agreement import AgreementConfig, Plan
+from qutrit_dba.agreement import AgreementConfig, Plan, TableCase, evaluate_conditions, run_agreement
 from qutrit_dba.distribution import (
     CheckVerdict,
+    CorrelatedLists,
     CrossCheckReport,
     DistributionConfig,
     PartyChoices,
@@ -259,6 +260,29 @@ def test_forged_forward_matches_expected_length():
     assert len(msg) == round(cfg.expected_fraction * 400)
     assert list(msg.positions) == sorted(set(msg.positions))
     assert all(lists.list_b[j] == 1 for j in msg.positions)
+
+
+def test_forged_forward_short_of_candidates_forges_with_all_of_them():
+    own = (0, 1, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0) * 2  # 6 ones, 24 positions
+    cfg = AgreementConfig()
+    with pytest.raises(ValueError):
+        traitor_forge_forward(own, Plan.ATTACK, Plan.RETREAT, 7, np.random.default_rng(0))
+    plan, msg = forged_forward(own, Plan.ATTACK, None, 32, cfg, np.random.default_rng(0))
+    assert round(cfg.expected_fraction * 32) == 8 > 6
+    assert plan is Plan.RETREAT
+    assert msg.positions == tuple(j for j, v in enumerate(own) if v == 1)
+
+
+def test_short_forger_is_still_caught_by_the_value_check():
+    # l_b holds 15 ones in 80 positions, fewer than the 20 a forward wants
+    combos = [(0, 0, 0)] * 20 + [(1, 1, 1)] * 10 + [(2, 0, 1)] * 45 + [(2, 1, 0)] * 5
+    rows = np.array(combos)[np.random.default_rng(3).permutation(80)]
+    lists = CorrelatedLists(*rows.T.tolist())
+    transcript = run_agreement(
+        lists, Plan.ATTACK, traitor_b_forge_forward(), np.random.default_rng(4)
+    )
+    assert evaluate_conditions(transcript) == (True, True)
+    assert transcript.lieutenant_c.case is TableCase.IID
 
 
 def _loop_forge(own, target, needed, rng):

@@ -8,10 +8,11 @@ sharing no code with the package.
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import json
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -48,10 +49,13 @@ from qutrit_dba.qutrit_core import (
     prepare_initial,
 )
 from qutrit_dba.strategies import (
+    GeneralId,
     false_detection_report,
+    honest,
     intercept_resend,
     kraus_attack,
     reveal_liar,
+    traitor_c_forge_forward,
     AttackBasis,
 )
 from qutrit_dba.adversaries import (
@@ -61,6 +65,7 @@ from qutrit_dba.adversaries import (
     hooks_for_strategy,
     make_intercept_resend,
     make_kraus_attack,
+    truthful_reveal,
 )
 import qutrit_dba.distribution as distribution_module
 
@@ -395,6 +400,131 @@ def test_traitor_reveal_hook_sees_one_third_last():
     assert abs(fraction_last - 1 / 3) < 0.06
 
 
+# the six reveal orders in the order the cross-check's order draws index them
+REVEAL_ORDERS = list(permutations((GeneralId.A, GeneralId.B, GeneralId.C)))
+
+
+def loop_cross_check(records, config, adversary, rng):
+    """The cross-check as a plain loop over its documented draws.
+
+    One uniform per valid run, then one order index per checked run.
+    Returns (reveal orders, inconsistent run ids, traitor-last run ids).
+    """
+    valid = [r for r in records if r.valid]
+    coins = rng.random(len(valid))
+    picked = [r for r, u in zip(valid, coins) if u < config.check_fraction]
+    order_ids = rng.integers(0, 6, size=len(picked))
+    traitor = None if adversary is None else adversary.traitor
+    orders, inconsistent, last = {}, set(), set()
+    for record, k in zip(picked, order_ids):
+        order = REVEAL_ORDERS[int(k)]
+        numbers = {
+            GeneralId.A: record.choices_a.number,
+            GeneralId.B: record.choices_b.number,
+            GeneralId.C: record.choices_c.number,
+        }
+        revealed = {}
+        for general in order:
+            if general is traitor:
+                revealed[general] = int(adversary(record.run_id, dict(revealed), record))
+            else:
+                revealed[general] = numbers[general]
+        orders[record.run_id] = order
+        if sum(revealed.values()) % 3:
+            inconsistent.add(record.run_id)
+        if order[-1] is traitor:
+            last.add(record.run_id)
+    return orders, inconsistent, last
+
+
+def binomial_interval(n, p, alpha=1e-6):
+    """[lo, hi] holding Binomial(n, p) except with probability at most alpha.
+
+    Each tail outside it carries at most alpha / 2, summed exactly from
+    the probability mass function in log space.
+    """
+    pmf = [
+        math.exp(
+            math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+            + k * math.log(p) + (n - k) * math.log1p(-p)
+        )
+        for k in range(n + 1)
+    ]
+    lo, tail = 0, 0.0
+    while tail + pmf[lo] <= alpha / 2:
+        tail += pmf[lo]
+        lo += 1
+    hi, tail = n, 0.0
+    while tail + pmf[hi] <= alpha / 2:
+        tail += pmf[hi]
+        hi -= 1
+    return lo, hi
+
+
+# (strategy, reveal hook): no hook, the stock hooks of a reveal liar, a
+# false reporter and a classical traitor (the last two reveal nothing), and
+# a truthful revealer
+CROSS_CHECK_CASES = {
+    "honest": (honest, None),
+    "reveal_liar": (reveal_liar, "stock"),
+    "false_report": (lambda: false_detection_report(rate=1.0), "stock"),
+    "classical_traitor": (traitor_c_forge_forward, "stock"),
+    "truthful_b": (honest, "truthful"),
+}
+
+
+@pytest.mark.parametrize("case", list(CROSS_CHECK_CASES))
+def test_cross_check_equals_the_loop_over_its_draws(case):
+    make_strategy, hook_kind = CROSS_CHECK_CASES[case]
+    strategy = make_strategy()
+    records = run_attempts(6000, adversary=strategy, rng=np.random.default_rng(40))
+    config = DistributionConfig(target_length=50, check_fraction=0.4)
+
+    def hook():
+        # a fresh, identically seeded hook for each side
+        if hook_kind == "truthful":
+            return truthful_reveal(GeneralId.B)
+        if hook_kind == "stock":
+            return hooks_for_strategy(strategy, np.random.default_rng(41)).number_reveal
+        return None
+
+    orders, inconsistent, last = loop_cross_check(
+        records, config, hook(), np.random.default_rng(42)
+    )
+    report = cross_check(records, config, adversary=hook(), rng=np.random.default_rng(42))
+    assert report.reveal_orders == orders
+    assert report.checked_positions == frozenset(orders)
+    assert report.inconsistent_positions == frozenset(inconsistent)
+    assert report.traitor_last_positions == frozenset(last)
+    assert report.inconsistencies == len(inconsistent)
+    assert report.traitor_last_count == len(last)
+    assert [r.run_id for r in records if r.consumed_by_check] == sorted(orders)
+    assert len(orders) > 100
+    if case in ("reveal_liar", "false_report"):
+        assert inconsistent
+
+
+def test_cross_check_orders_are_uniform_and_checks_binomial():
+    """Checked count ~ Binomial(valid, f); each order ~ Binomial(checked, 1/6).
+
+    Bounds are exact binomial intervals at a false-failure probability of
+    1e-6, split over the seven counts judged.
+    """
+    records = run_attempts(60000, rng=np.random.default_rng(43))
+    fraction = 0.5
+    config = DistributionConfig(target_length=100, check_fraction=fraction)
+    report = cross_check(records, config, rng=np.random.default_rng(44))
+    n_valid = sum(r.valid for r in records)
+    lo, hi = binomial_interval(n_valid, fraction, 1e-6 / 7)
+    assert lo <= report.checked <= hi
+    counts = {order: 0 for order in REVEAL_ORDERS}
+    for order in report.reveal_orders.values():
+        counts[order] += 1
+    lo, hi = binomial_interval(report.checked, 1 / 6, 1e-6 / 7)
+    for order, count in counts.items():
+        assert lo <= count <= hi, (order, count, lo, hi)
+
+
 # --- the outcome table and the batch size ----------------------------------------
 
 
@@ -406,6 +536,54 @@ def test_cumulative_table_matches_the_state_path():
         row = distribution_module._CUM_TABLE[3 * e1 + e2]
         assert abs(row[0] - probs[0]) < 1e-12
         assert abs(row[1] - (probs[0] + probs[1])) < 1e-12
+
+
+def test_code_tables_equal_the_exponent_arithmetic():
+    """All 216 code triples: the thresholds, draws and numbers they index."""
+    draws = [PartyChoices(basis=b, number=n) for b in (I, II) for n in range(3)]
+    for a, b, c in product(draws, repeat=3):
+        code = 36 * a.code + 6 * b.code + c.code
+        t = sum(x.basis is II for x in (a, b, c))
+        s = a.number + b.number + c.number
+        expected = distribution_module._CUM_TABLE[3 * ((t + s) % 3) + (t - s) % 3]
+        assert distribution_module._CUM_BY_CODE[code] is expected
+        assert distribution_module._TRIPLES[code] == (a, b, c)
+        assert distribution_module._NUMBERS_BY_CODE[:, code].tolist() == [
+            a.number, b.number, c.number
+        ]
+    assert len(distribution_module._CUM_BY_CODE) == 216
+
+
+def test_hand_built_choices_carry_the_singletons_code():
+    for basis in (I, II):
+        for n in range(3):
+            built = PartyChoices(basis=basis, number=n)
+            single = distribution_module._CHOICES[built.code]
+            assert built.code == 3 * (basis is II) + n == single.code
+            assert built is not single
+            assert built == single and hash(built) == hash(single)
+            assert repr(built) == f"PartyChoices(basis={basis!r}, number={n})"
+            assert [f.name for f in dataclasses.fields(built)] == ["basis", "number"]
+            assert dataclasses.asdict(built) == {"basis": basis, "number": n}
+            assert dataclasses.replace(built).code == built.code
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                built.code = 0
+    assert PartyChoices(basis=I, number=1) != PartyChoices(basis=II, number=1)
+    assert type(PartyChoices(basis=II, number=np.int64(2)).code) is int
+
+
+def test_batch_reads_each_attempt_from_its_drawn_row():
+    """One integers block of six draws and one random block of two uniforms."""
+    n = 400
+    rng = np.random.default_rng(45)
+    rows = rng.integers(0, (2, 2, 2, 3, 2, 2), size=(n, 6))
+    uniforms = rng.random((n, 2))
+    records = run_attempts(n, rng=np.random.default_rng(45))
+    assert len(records) == n
+    for record, (ta, tb, tc, na, nb, nc), (_, u) in zip(records, rows, uniforms):
+        parties = make_choices((I, II)[ta], na, (I, II)[tb], nb, (I, II)[tc], nc)
+        assert (record.choices_a, record.choices_b, record.choices_c) == parties
+        assert record.outcome == execute_run(*parties, uniforms=(0.0, u)).outcome
 
 
 def test_honest_path_picks_the_outcome_of_the_composed_operators():
